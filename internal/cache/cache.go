@@ -45,21 +45,42 @@ type Victim struct {
 
 // LLC is a set of resident lines with random replacement. Addresses are
 // global physical line addresses.
+//
+// Resident lines live in a slot table: idx maps an address to its slot, and
+// slots 0..n-1 hold the lines in insertion order with swap-remove on
+// eviction, so the replacement draw rng.Intn(n) indexes the table directly.
+// Slots are stored in pages allocated as the cache fills, so a large LLC
+// never re-copies its slots while warming up (see grow).
 type LLC struct {
 	cfg   Config
 	rng   *sim.RNG
-	lines map[int64]*line
-	keys  []int64
-	pos   map[int64]int
+	idx   map[int64]int32
+	pages [][]line
+	n     int
 }
 
 type line struct {
+	addr  int64
 	dirty bool
-	data  []byte // lazily allocated 64 B overlay for tracked stores
-	mask  uint64 // which overlay bytes hold store data (coherence: only
-	// these bytes may be written back; the rest belong to
-	// durable storage or other writers)
+	data  *[mem.CacheLine]byte // lazily allocated overlay for tracked stores
+	mask  uint64               // which overlay bytes hold store data (coherence:
+	// only these bytes may be written back; the rest belong to durable
+	// storage or other writers)
 }
+
+// overlay returns the line's overlay bytes, or nil if it has none.
+func (l *line) overlay() []byte {
+	if l.data == nil {
+		return nil
+	}
+	return l.data[:]
+}
+
+// Slot pages hold 1<<pageShift lines (8 KiB of slots).
+const (
+	pageShift = 8
+	pageMask  = 1<<pageShift - 1
+)
 
 // New returns an empty LLC.
 func New(cfg Config) *LLC {
@@ -67,10 +88,9 @@ func New(cfg Config) *LLC {
 		cfg.Lines = 16
 	}
 	return &LLC{
-		cfg:   cfg,
-		rng:   sim.NewRNG(cfg.Seed),
-		lines: make(map[int64]*line),
-		pos:   make(map[int64]int),
+		cfg: cfg,
+		rng: sim.NewRNG(cfg.Seed),
+		idx: make(map[int64]int32),
 	}
 }
 
@@ -78,60 +98,88 @@ func New(cfg Config) *LLC {
 func (c *LLC) HitLatency() sim.Time { return c.cfg.HitLatency }
 
 // Len returns the number of resident lines.
-func (c *LLC) Len() int { return len(c.lines) }
+func (c *LLC) Len() int { return c.n }
+
+func (c *LLC) slot(i int) *line {
+	return &c.pages[i>>pageShift][i&pageMask]
+}
+
+// grow makes sure slot c.n exists. Pages are allocated whole (the last one
+// sized to the remaining capacity), so a filling LLC never re-copies its
+// slots.
+func (c *LLC) grow() {
+	if pg := c.n >> pageShift; pg == len(c.pages) {
+		c.pages = append(c.pages, make([]line, min(1<<pageShift, c.cfg.Lines-pg<<pageShift)))
+	}
+}
+
+// lookup returns addr's resident line, or nil.
+func (c *LLC) lookup(addr int64) *line {
+	if i, ok := c.idx[addr]; ok {
+		return c.slot(int(i))
+	}
+	return nil
+}
 
 // Present reports whether addr's line is resident.
 func (c *LLC) Present(addr int64) bool {
-	_, ok := c.lines[addr]
+	_, ok := c.idx[addr]
 	return ok
 }
 
 // Dirty reports whether addr's line is resident and dirty.
 func (c *LLC) Dirty(addr int64) bool {
-	l, ok := c.lines[addr]
-	return ok && l.dirty
+	l := c.lookup(addr)
+	return l != nil && l.dirty
 }
 
 // Data returns the overlay bytes and validity mask for a resident line.
 func (c *LLC) Data(addr int64) ([]byte, uint64) {
-	if l, ok := c.lines[addr]; ok {
-		return l.data, l.mask
+	if l := c.lookup(addr); l != nil {
+		return l.overlay(), l.mask
 	}
 	return nil, 0
 }
 
-func (c *LLC) insertKey(addr int64) {
-	c.pos[addr] = len(c.keys)
-	c.keys = append(c.keys, addr)
+// remove swap-removes slot i: the last slot moves into i.
+func (c *LLC) remove(i int) {
+	addr := c.slot(i).addr
+	last := c.n - 1
+	moved := *c.slot(last)
+	*c.slot(i) = moved
+	*c.slot(last) = line{}
+	c.idx[moved.addr] = int32(i)
+	delete(c.idx, addr)
+	c.n = last
 }
 
-func (c *LLC) removeKey(addr int64) {
-	i := c.pos[addr]
-	last := len(c.keys) - 1
-	c.keys[i] = c.keys[last]
-	c.pos[c.keys[i]] = i
-	c.keys = c.keys[:last]
-	delete(c.pos, addr)
+// insert makes addr resident and returns its line plus the victim if the
+// insertion evicted one.
+func (c *LLC) insert(addr int64) (*line, Victim, bool) {
+	if l := c.lookup(addr); l != nil {
+		return l, Victim{}, false
+	}
+	var v Victim
+	evicted := false
+	if c.n >= c.cfg.Lines {
+		i := c.rng.Intn(c.n)
+		vl := c.slot(i)
+		v = Victim{Addr: vl.addr, Dirty: vl.dirty, Data: vl.overlay(), Mask: vl.mask}
+		c.remove(i)
+		evicted = true
+	}
+	c.grow()
+	l := c.slot(c.n)
+	*l = line{addr: addr}
+	c.idx[addr] = int32(c.n)
+	c.n++
+	return l, v, evicted
 }
 
 // Insert makes addr resident (clean unless marked dirty afterwards) and
 // returns the victim if the insertion evicted a line.
 func (c *LLC) Insert(addr int64) (Victim, bool) {
-	if _, ok := c.lines[addr]; ok {
-		return Victim{}, false
-	}
-	var v Victim
-	evicted := false
-	if len(c.lines) >= c.cfg.Lines {
-		vaddr := c.keys[c.rng.Intn(len(c.keys))]
-		vl := c.lines[vaddr]
-		v = Victim{Addr: vaddr, Dirty: vl.dirty, Data: vl.data, Mask: vl.mask}
-		delete(c.lines, vaddr)
-		c.removeKey(vaddr)
-		evicted = true
-	}
-	c.lines[addr] = &line{}
-	c.insertKey(addr)
+	_, v, evicted := c.insert(addr)
 	return v, evicted
 }
 
@@ -140,12 +188,11 @@ func (c *LLC) Insert(addr int64) (Victim, bool) {
 // line's overlay at byte offset off within the line and the corresponding
 // mask bits are set.
 func (c *LLC) MarkDirty(addr int64, off int, data []byte) (Victim, bool) {
-	v, evicted := c.Insert(addr)
-	l := c.lines[addr]
+	l, v, evicted := c.insert(addr)
 	l.dirty = true
 	if data != nil {
 		if l.data == nil {
-			l.data = make([]byte, mem.CacheLine)
+			l.data = new([mem.CacheLine]byte)
 		}
 		copy(l.data[off:], data)
 		for i := 0; i < len(data); i++ {
@@ -160,11 +207,11 @@ func (c *LLC) MarkDirty(addr int64, off int, data []byte) (Victim, bool) {
 // resident (clwb semantics); after write-back the durable copy is
 // authoritative, so the overlay is dropped.
 func (c *LLC) WriteBack(addr int64) ([]byte, uint64, bool) {
-	l, ok := c.lines[addr]
-	if !ok || !l.dirty {
+	l := c.lookup(addr)
+	if l == nil || !l.dirty {
 		return nil, 0, false
 	}
-	data, mask := l.data, l.mask
+	data, mask := l.overlay(), l.mask
 	l.dirty = false
 	l.data, l.mask = nil, 0
 	return data, mask, true
@@ -173,56 +220,57 @@ func (c *LLC) WriteBack(addr int64) ([]byte, uint64, bool) {
 // Evict removes the line (clflush/clflushopt semantics), returning its
 // overlay data, mask, and whether it was dirty.
 func (c *LLC) Evict(addr int64) ([]byte, uint64, bool) {
-	l, ok := c.lines[addr]
+	i, ok := c.idx[addr]
 	if !ok {
 		return nil, 0, false
 	}
-	delete(c.lines, addr)
-	c.removeKey(addr)
-	return l.data, l.mask, l.dirty
+	l := *c.slot(int(i))
+	c.remove(int(i))
+	return l.overlay(), l.mask, l.dirty
+}
+
+// drain empties the cache, calling fn on every dirty line in slot order,
+// and returns how many dirty lines there were. Slots at n and above are
+// already zero, so only the live ones are cleared.
+func (c *LLC) drain(fn func(l *line)) int {
+	dirty := 0
+	for i := 0; i < c.n; i++ {
+		l := c.slot(i)
+		if l.dirty {
+			dirty++
+			fn(l)
+		}
+		*l = line{}
+	}
+	clear(c.idx)
+	c.n = 0
+	return dirty
 }
 
 // DropAll empties the cache, discarding dirty data — the volatile half of a
 // crash. It returns how many dirty lines were lost.
 func (c *LLC) DropAll() int {
-	lost := 0
-	for _, l := range c.lines {
-		if l.dirty {
-			lost++
-		}
-	}
-	c.lines = make(map[int64]*line)
-	c.keys = c.keys[:0]
-	c.pos = make(map[int64]int)
-	return lost
+	return c.drain(func(*line) {})
 }
 
-// FlushAll empties the cache, handing every dirty line's overlay to fn —
-// the eADR crash path, where residual energy drains the caches to the
-// DIMMs. It returns how many dirty lines were flushed.
+// FlushAll empties the cache, handing every dirty line's overlay to fn in
+// slot order — the eADR crash path, where residual energy drains the caches
+// to the DIMMs. It returns how many dirty lines were flushed.
 func (c *LLC) FlushAll(fn func(addr int64, data []byte, mask uint64)) int {
-	flushed := 0
-	for addr, l := range c.lines {
-		if l.dirty {
-			flushed++
-			if l.data != nil {
-				fn(addr, l.data, l.mask)
-			}
+	return c.drain(func(l *line) {
+		if l.data != nil {
+			fn(l.addr, l.data[:], l.mask)
 		}
-	}
-	c.lines = make(map[int64]*line)
-	c.keys = c.keys[:0]
-	c.pos = make(map[int64]int)
-	return flushed
+	})
 }
 
-// DirtyLines returns the addresses of all dirty lines (test hook; order is
-// unspecified).
+// DirtyLines returns the addresses of all dirty lines in slot order (test
+// hook).
 func (c *LLC) DirtyLines() []int64 {
 	var out []int64
-	for a, l := range c.lines {
-		if l.dirty {
-			out = append(out, a)
+	for i := 0; i < c.n; i++ {
+		if l := c.slot(i); l.dirty {
+			out = append(out, l.addr)
 		}
 	}
 	return out

@@ -132,8 +132,8 @@ func TestLLCDropAll(t *testing.T) {
 	}
 }
 
-// Property: the key index stays consistent with the line map under random
-// operations, and capacity is never exceeded.
+// Property: the slot index stays consistent with the slot table under
+// random operations, and capacity is never exceeded.
 func TestLLCIndexInvariant(t *testing.T) {
 	f := func(seed uint64) bool {
 		c := small(32)
@@ -150,12 +150,13 @@ func TestLLCIndexInvariant(t *testing.T) {
 			case 3:
 				c.Evict(addr)
 			}
-			if c.Len() > 32 || len(c.keys) != c.Len() || len(c.pos) != c.Len() {
+			if c.Len() > 32 || len(c.idx) != c.Len() {
 				return false
 			}
 		}
-		for i, k := range c.keys {
-			if c.pos[k] != i || !c.Present(k) {
+		for i := 0; i < c.Len(); i++ {
+			a := c.slot(i).addr
+			if int(c.idx[a]) != i || !c.Present(a) {
 				return false
 			}
 		}
@@ -163,6 +164,208 @@ func TestLLCIndexInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refLLC is the LLC as it was before the slot table: a line map plus a
+// key slice with a position map. It is kept as the oracle for
+// TestLLCMatchesReference, which pins that the slot table picks the same
+// victims draw for draw.
+type refLLC struct {
+	cfg   Config
+	rng   *sim.RNG
+	lines map[int64]*refLine
+	keys  []int64
+	pos   map[int64]int
+}
+
+type refLine struct {
+	dirty bool
+	data  []byte
+	mask  uint64
+}
+
+func newRef(cfg Config) *refLLC {
+	return &refLLC{
+		cfg:   cfg,
+		rng:   sim.NewRNG(cfg.Seed),
+		lines: make(map[int64]*refLine),
+		pos:   make(map[int64]int),
+	}
+}
+
+func (c *refLLC) removeKey(addr int64) {
+	i := c.pos[addr]
+	last := len(c.keys) - 1
+	c.keys[i] = c.keys[last]
+	c.pos[c.keys[i]] = i
+	c.keys = c.keys[:last]
+	delete(c.pos, addr)
+}
+
+func (c *refLLC) Insert(addr int64) (Victim, bool) {
+	if _, ok := c.lines[addr]; ok {
+		return Victim{}, false
+	}
+	var v Victim
+	evicted := false
+	if len(c.lines) >= c.cfg.Lines {
+		vaddr := c.keys[c.rng.Intn(len(c.keys))]
+		vl := c.lines[vaddr]
+		v = Victim{Addr: vaddr, Dirty: vl.dirty, Data: vl.data, Mask: vl.mask}
+		delete(c.lines, vaddr)
+		c.removeKey(vaddr)
+		evicted = true
+	}
+	c.lines[addr] = &refLine{}
+	c.pos[addr] = len(c.keys)
+	c.keys = append(c.keys, addr)
+	return v, evicted
+}
+
+func (c *refLLC) MarkDirty(addr int64, off int, data []byte) (Victim, bool) {
+	v, evicted := c.Insert(addr)
+	l := c.lines[addr]
+	l.dirty = true
+	if data != nil {
+		if l.data == nil {
+			l.data = make([]byte, mem.CacheLine)
+		}
+		copy(l.data[off:], data)
+		for i := 0; i < len(data); i++ {
+			l.mask |= 1 << uint(off+i)
+		}
+	}
+	return v, evicted
+}
+
+func (c *refLLC) WriteBack(addr int64) ([]byte, uint64, bool) {
+	l, ok := c.lines[addr]
+	if !ok || !l.dirty {
+		return nil, 0, false
+	}
+	data, mask := l.data, l.mask
+	l.dirty = false
+	l.data, l.mask = nil, 0
+	return data, mask, true
+}
+
+func (c *refLLC) Evict(addr int64) ([]byte, uint64, bool) {
+	l, ok := c.lines[addr]
+	if !ok {
+		return nil, 0, false
+	}
+	delete(c.lines, addr)
+	c.removeKey(addr)
+	return l.data, l.mask, l.dirty
+}
+
+func (c *refLLC) DropAll() int {
+	lost := 0
+	for _, l := range c.lines {
+		if l.dirty {
+			lost++
+		}
+	}
+	c.lines = make(map[int64]*refLine)
+	c.keys = c.keys[:0]
+	c.pos = make(map[int64]int)
+	return lost
+}
+
+// TestLLCMatchesReference replays seeded random operation streams through
+// the slot-table LLC and the reference map+keys LLC and requires identical
+// victims and identical answers to every probe. Capacities include one
+// that spans several slot pages with a partial last page.
+func TestLLCMatchesReference(t *testing.T) {
+	for _, lines := range []int{16, 37, 1<<pageShift + 300} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			cfg := DefaultConfig()
+			cfg.Lines = lines
+			cfg.Seed = seed
+			c, ref := New(cfg), newRef(cfg)
+			r := sim.NewRNG(seed * 7919)
+			span := int64(lines) * 3
+			for op := 0; op < 20000; op++ {
+				addr := r.Int63n(span) * mem.CacheLine
+				var got, want Victim
+				var gev, wev bool
+				switch k := r.Intn(100); {
+				case k < 40:
+					got, gev = c.Insert(addr)
+					want, wev = ref.Insert(addr)
+				case k < 75:
+					var data []byte
+					off := r.Intn(mem.CacheLine)
+					if r.Intn(2) == 0 {
+						data = make([]byte, 1+r.Intn(mem.CacheLine-off))
+						for i := range data {
+							data[i] = byte(r.Intn(256))
+						}
+					}
+					got, gev = c.MarkDirty(addr, off, data)
+					want, wev = ref.MarkDirty(addr, off, data)
+				case k < 88:
+					gd, gm, gdirty := c.WriteBack(addr)
+					wd, wm, wdirty := ref.WriteBack(addr)
+					got, gev = Victim{Addr: addr, Dirty: gdirty, Data: gd, Mask: gm}, gdirty
+					want, wev = Victim{Addr: addr, Dirty: wdirty, Data: wd, Mask: wm}, wdirty
+				case k < 99:
+					gd, gm, gdirty := c.Evict(addr)
+					wd, wm, wdirty := ref.Evict(addr)
+					got, gev = Victim{Addr: addr, Dirty: gdirty, Data: gd, Mask: gm}, gdirty
+					want, wev = Victim{Addr: addr, Dirty: wdirty, Data: wd, Mask: wm}, wdirty
+				default:
+					if g, w := c.DropAll(), ref.DropAll(); g != w {
+						t.Fatalf("lines=%d seed=%d op %d: DropAll lost %d, reference %d", lines, seed, op, g, w)
+					}
+				}
+				if gev != wev || got.Addr != want.Addr || got.Dirty != want.Dirty ||
+					got.Mask != want.Mask || !bytes.Equal(got.Data, want.Data) {
+					t.Fatalf("lines=%d seed=%d op %d: victim %+v/%v, reference %+v/%v", lines, seed, op, got, gev, want, wev)
+				}
+				probe := r.Int63n(span) * mem.CacheLine
+				for _, a := range []int64{addr, probe} {
+					_, wok := ref.lines[a]
+					gd, gm := c.Data(a)
+					var wd []byte
+					var wm uint64
+					if l, ok := ref.lines[a]; ok {
+						wd, wm = l.data, l.mask
+					}
+					if c.Present(a) != wok || c.Dirty(a) != (wok && ref.lines[a].dirty) ||
+						gm != wm || !bytes.Equal(gd, wd) {
+						t.Fatalf("lines=%d seed=%d op %d: probe %#x diverges from reference", lines, seed, op, a)
+					}
+				}
+				if c.Len() != len(ref.lines) {
+					t.Fatalf("lines=%d seed=%d op %d: len %d, reference %d", lines, seed, op, c.Len(), len(ref.lines))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkLLCInsertMarkDirty measures the LLC's hot path at capacity: a
+// tracked store to a random line of a working set twice the cache, so
+// about half the stores miss and evict.
+func BenchmarkLLCInsertMarkDirty(b *testing.B) {
+	c := small(1 << 14)
+	r := sim.NewRNG(1)
+	addrs := make([]int64, 1<<16)
+	for i := range addrs {
+		addrs[i] = r.Int63n(1<<15) * mem.CacheLine
+	}
+	payload := make([]byte, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := addrs[i&(len(addrs)-1)]
+		if i&1 == 0 {
+			c.Insert(a)
+		} else {
+			c.MarkDirty(a, 0, payload)
+		}
 	}
 }
 

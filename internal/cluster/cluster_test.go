@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"optanestudy/internal/harness"
@@ -329,5 +330,21 @@ func TestClusterParallelByteIdentical(t *testing.T) {
 	}
 	if !json.Valid(serial) {
 		t.Fatal("output is not valid JSON")
+	}
+}
+
+// TestValSizeTooSmallRejected: a value carries an 8-byte id stamp, so
+// valsize below 8 must be a parse error, not a panic inside the run.
+func TestValSizeTooSmallRejected(t *testing.T) {
+	for _, sc := range []string{"cluster/point", "cluster/failover/point"} {
+		for _, v := range []string{"-1", "0", "3", "7"} {
+			_, err := harness.Run(harness.Spec{
+				Scenario: sc, Duration: sim.Microsecond,
+				Params: map[string]string{"valsize": v},
+			})
+			if err == nil || !strings.Contains(err.Error(), "valsize must be >= 8") {
+				t.Errorf("%s valsize=%s: err = %v, want a valsize error", sc, v, err)
+			}
+		}
 	}
 }

@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"time"
+
+	"optanestudy/internal/sim"
 )
 
 // job is one independent, deterministic unit of work: a single warmup run
@@ -77,8 +81,15 @@ func buildJobs(sc Scenario, spec Spec, specIdx int) []job {
 
 // execute runs the job's single trial, stamps wall time, and derives the
 // standard rates. It touches no state outside the job, which is what makes
-// the scheduler free to run jobs concurrently.
-func (j job) execute() (Trial, error) {
+// the scheduler free to run jobs concurrently. A panic in the scenario —
+// in its Run or in one of its simulated threads — becomes this job's error,
+// so it cannot take down the process or a sibling spec's result.
+func (j job) execute() (_ Trial, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError(j.sc.Name, r)
+		}
+	}()
 	start := time.Now()
 	tr, err := j.sc.Run(j.spec)
 	if err != nil {
@@ -92,4 +103,15 @@ func (j job) execute() (Trial, error) {
 		tr.OpsPerSec = float64(tr.Ops) / tr.Sim.Seconds()
 	}
 	return tr, nil
+}
+
+// panicError turns a recovered scenario panic into an error carrying the
+// scenario name, the panic value and the stack where it was raised. A
+// *sim.ProcPanic brings the name, simulated time and stack of the
+// simulated thread that panicked.
+func panicError(name string, r any) error {
+	if pp, ok := r.(*sim.ProcPanic); ok {
+		return fmt.Errorf("scenario %s panicked in proc %q at %v: %v\n%s", name, pp.Proc, pp.Now, pp.Value, pp.Stack)
+	}
+	return fmt.Errorf("scenario %s panicked: %v\n%s", name, r, debug.Stack())
 }

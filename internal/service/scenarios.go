@@ -268,6 +268,10 @@ func runPoint(spec harness.Spec) (harness.Trial, error) {
 	if llcKB < 0 {
 		return harness.Trial{}, fmt.Errorf("service: llckb must be >= 0, got %d", llcKB)
 	}
+	if valSize < 8 {
+		// Every value starts with its 8-byte id stamp (ValInto).
+		return harness.Trial{}, fmt.Errorf("service: valsize must be >= 8, got %d", valSize)
+	}
 	if batch < 1 {
 		return harness.Trial{}, fmt.Errorf("service: batch size must be >= 1, got %d", batch)
 	}

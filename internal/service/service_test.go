@@ -3,8 +3,10 @@ package service
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"optanestudy/internal/harness"
 	"optanestudy/internal/platform"
 	"optanestudy/internal/sim"
 )
@@ -346,5 +348,21 @@ func TestKneeIndex(t *testing.T) {
 	sat := Curve{{GenKops: 10, AchievedKops: 5}}
 	if got := sat.KneeIndex(); got != 0 {
 		t.Fatalf("fully saturated knee = %d, want 0", got)
+	}
+}
+
+// TestValSizeTooSmallRejected: a value carries an 8-byte id stamp, so
+// valsize below 8 must be a parse error, not a panic inside the run.
+func TestValSizeTooSmallRejected(t *testing.T) {
+	for _, sc := range []string{"service/kv/pmemkv", "service/kv/lsmkv"} {
+		for _, v := range []string{"-1", "0", "3", "7"} {
+			_, err := harness.Run(harness.Spec{
+				Scenario: sc, Duration: sim.Microsecond,
+				Params: map[string]string{"valsize": v},
+			})
+			if err == nil || !strings.Contains(err.Error(), "valsize must be >= 8") {
+				t.Errorf("%s valsize=%s: err = %v, want a valsize error", sc, v, err)
+			}
+		}
 	}
 }

@@ -3,11 +3,18 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 )
 
 // Proc is a simulated thread of execution. Procs advance simulated time via
 // AdvanceTo/Sleep; between advances they run exclusively, so shared
 // simulation state needs no locking.
+//
+// Each proc body runs as an iter.Pull coroutine: Run resumes it with next,
+// and the proc hands control back by calling its coroutine yield. A
+// coroutine switch is a direct goroutine hand-off that bypasses the Go
+// scheduler's run queue, which is what makes a contended yield cheap.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -15,8 +22,9 @@ type Proc struct {
 	now  Time
 	seq  uint64
 
-	resume chan struct{}
-	done   bool
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
 }
 
 // Now returns the proc's current simulated time.
@@ -50,11 +58,11 @@ func (p *Proc) Sleep(d Time) { p.Advance(d) }
 func (p *Proc) yield() {
 	e := p.eng
 	// Fast path: if every parked proc is strictly later than this one, the
-	// scheduler would hand control straight back, so skip the park/resume
-	// channel round-trip entirely. Ties must park: FIFO order among equal
-	// times is decided by the heap. Touching e.procs and e.now from the
-	// proc's goroutine is safe because procs run exclusively — Run is
-	// blocked on e.parked until this proc parks or finishes.
+	// scheduler would hand control straight back, so skip the coroutine
+	// switch entirely. Ties must park: FIFO order among equal times is
+	// decided by the heap. Touching e.procs and e.now from the proc is safe
+	// because procs run exclusively — Run is suspended in p.next until this
+	// proc yields or finishes.
 	if len(e.procs) == 0 || p.now < e.procs[0].now {
 		if p.now > e.now {
 			e.now = p.now
@@ -62,32 +70,44 @@ func (p *Proc) yield() {
 		return
 	}
 	p.seq = e.nextSeq()
-	e.parked <- p
-	<-p.resume
-	if e.stopped {
+	if !p.yieldFn(struct{}{}) {
+		// Stop reaped this proc: unwind its body through deferred handlers.
 		panic(procStop{})
 	}
 }
 
-// Engine schedules procs in global simulated-time order.
+// Engine schedules procs in global simulated-time order. Every live proc
+// is either the one running inside Run or parked in procs, so the heap
+// alone is the engine's record of unfinished work.
 type Engine struct {
 	procs   procHeap
-	parked  chan *Proc
 	seq     uint64
-	nlive   int
 	nextID  int
 	now     Time
 	stopped bool
 }
 
 // procStop is the sentinel panic Stop uses to unwind a parked proc's
-// goroutine through its deferred handlers. Kernels must not recover it.
+// coroutine through its deferred handlers. Kernels must not recover it.
 type procStop struct{}
 
-// NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{parked: make(chan *Proc)}
+// ProcPanic is the value Run panics with when a proc body panics: the
+// proc's name and simulated time, the original panic value, and the stack
+// captured where the proc panicked (the coroutine hand-off would otherwise
+// lose it).
+type ProcPanic struct {
+	Proc  string
+	Now   Time
+	Value any
+	Stack []byte
 }
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: proc %q panicked at %v: %v", pp.Proc, pp.Now, pp.Value)
+}
+
+// NewEngine returns an empty engine at time zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the time of the most recently scheduled proc — the global
 // simulation clock.
@@ -106,87 +126,70 @@ func (e *Engine) Go(name string, start Time, fn func(p *Proc)) *Proc {
 		panic("sim: Go on a stopped engine")
 	}
 	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     e.nextID,
-		now:    start,
-		seq:    e.nextSeq(),
-		resume: make(chan struct{}),
+		eng:  e,
+		name: name,
+		id:   e.nextID,
+		now:  start,
+		seq:  e.nextSeq(),
 	}
 	e.nextID++
-	e.nlive++
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(procStop); !ok {
-					panic(r)
+					panic(&ProcPanic{Proc: p.name, Now: p.now, Value: r, Stack: debug.Stack()})
 				}
 			}
-			p.done = true
-			e.parked <- p
 		}()
-		<-p.resume
-		if !e.stopped {
-			fn(p)
-		}
-	}()
+		fn(p)
+	})
 	heap.Push(&e.procs, p)
 	return p
 }
 
 // Run executes the simulation until every proc has finished. It returns the
 // final simulated time.
+//
+// If a proc body panics, Run panics with a *ProcPanic. The panicking proc
+// is already finished and off the heap, so the engine stays consistent and
+// a deferred Stop reaps every proc still parked.
 func (e *Engine) Run() Time {
 	if e.stopped {
 		panic("sim: Run on a stopped engine")
 	}
-	for e.nlive > 0 {
-		if e.procs.Len() == 0 {
-			panic("sim: deadlock: live procs but none runnable")
-		}
+	for len(e.procs) > 0 {
 		p := heap.Pop(&e.procs).(*Proc)
 		if p.now > e.now {
 			e.now = p.now
 		}
-		p.resume <- struct{}{}
-		back := <-e.parked
-		if back.done {
-			e.nlive--
-			continue
+		if _, ok := p.next(); ok {
+			heap.Push(&e.procs, p)
 		}
-		heap.Push(&e.procs, back)
 	}
 	return e.now
 }
 
-// Stop tears the engine down: every live proc — spawned but never run, or
-// parked mid-simulation — is resumed one final time and unwound via a
-// sentinel panic so its goroutine exits without running further simulation
-// work (deferred cleanup in kernels still executes). Stop is idempotent and
-// a no-op after a completed Run; the engine must not be used afterwards.
+// Stop tears the engine down: every live proc is stopped. A proc spawned
+// but never run never executes its body; a proc parked mid-simulation sees
+// its yield fail and is unwound via a sentinel panic, so it runs no further
+// simulation work (deferred cleanup in kernels still executes). Either way
+// its coroutine exits. Stop is idempotent and a no-op after a completed
+// Run; the engine must not be used afterwards.
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	for e.nlive > 0 {
-		if e.procs.Len() == 0 {
-			panic("sim: Stop: live procs but none parked")
-		}
+	for len(e.procs) > 0 {
 		p := heap.Pop(&e.procs).(*Proc)
-		p.resume <- struct{}{}
-		back := <-e.parked
-		if !back.done {
-			heap.Push(&e.procs, back)
-			continue
-		}
-		e.nlive--
+		p.stop()
 	}
 }
 
 // String reports scheduler state for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%v live=%d}", e.now, e.nlive)
+	return fmt.Sprintf("sim.Engine{now=%v parked=%d}", e.now, len(e.procs))
 }
 
 // procHeap orders procs by (now, seq): earliest time first, FIFO among ties.

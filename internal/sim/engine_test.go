@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +89,40 @@ func TestEngineNestedSpawn(t *testing.T) {
 	e.Run()
 	if childTime != 101*Nanosecond {
 		t.Fatalf("child ran at %v, want 101ns", childTime)
+	}
+}
+
+// TestEngineSpawnFromCoroutineInterleaves spawns a child from inside a
+// running proc at a later start time; the child must not run before its
+// start, and must interleave by time with a third proc that was spawned
+// before Run.
+func TestEngineSpawnFromCoroutineInterleaves(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	stamp := func(p *Proc) { log = append(log, fmt.Sprintf("%s@%d", p.Name(), p.Now()/Nanosecond)) }
+	e.Go("parent", 0, func(p *Proc) {
+		p.Advance(10 * Nanosecond)
+		stamp(p)
+		p.Engine().Go("child", 25*Nanosecond, func(c *Proc) {
+			stamp(c)
+			c.Advance(10 * Nanosecond)
+			stamp(c)
+		})
+		p.Advance(30 * Nanosecond)
+		stamp(p)
+	})
+	e.Go("ticker", 0, func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			p.Advance(12 * Nanosecond)
+			stamp(p)
+		}
+	})
+	if end := e.Run(); end != 48*Nanosecond {
+		t.Fatalf("end = %v, want 48ns", end)
+	}
+	want := "parent@10 ticker@12 ticker@24 child@25 child@35 ticker@36 parent@40 ticker@48"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("order:\n got %s\nwant %s", got, want)
 	}
 }
 
