@@ -5,6 +5,7 @@ import (
 
 	"optanestudy/internal/hottier"
 	"optanestudy/internal/platform"
+	"optanestudy/internal/pmem"
 	"optanestudy/internal/replica"
 	"optanestudy/internal/service"
 )
@@ -104,6 +105,19 @@ func (c *Cluster) CacheCounters() hottier.Counters {
 	for _, t := range c.Tiers {
 		if t != nil {
 			sum.Merge(t.Counters())
+		}
+	}
+	return sum
+}
+
+// LogCounters merges every shard's write-behind log counters, reading
+// each shard's current log (a promoted shard's is its standby's).
+func (c *Cluster) LogCounters() pmem.Counters {
+	var sum pmem.Counters
+	for i := range c.Shards {
+		if pl := c.Shards[i].PutLog; pl != nil {
+			cc := pl.Counters()
+			sum.Merge(&cc)
 		}
 	}
 	return sum

@@ -93,8 +93,8 @@ func TestFailoverSweepFaultFreeLegNeutral(t *testing.T) {
 		"get": "0.5", "put": "0.5", "scan": "0",
 	}
 	run := func(params map[string]string) service.Curve {
-		curve, err := RunSweep(SweepConfig{
-			Params:  params,
+		curve, err := service.RunSweep(service.SweepConfig{
+			Scenario: "cluster/point", Params: params,
 			Threads: 4, Duration: 150 * sim.Microsecond, Seed: 58,
 			MinKops: 4000, MaxKops: 16000, Points: 3,
 		})

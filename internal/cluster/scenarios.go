@@ -6,11 +6,8 @@ import (
 	"strconv"
 	"strings"
 
-	"optanestudy/internal/devstat"
 	"optanestudy/internal/fault"
 	"optanestudy/internal/harness"
-	"optanestudy/internal/platform"
-	"optanestudy/internal/pmem"
 	"optanestudy/internal/service"
 	"optanestudy/internal/sim"
 	"optanestudy/internal/stats"
@@ -174,7 +171,7 @@ func init() {
 				"policy": PolicyLocalPacked, "shards": "2", "putlog": "1",
 				"get": "0.5", "put": "0.5", "scan": "0",
 				"minkops": "2000", "maxkops": "26000", "points": "5",
-				"faultgrid": "none,crash",
+				"faultgrid":  "none,crash",
 				"faultshard": "0", "faultat": "0.4", "detect": "2000",
 			},
 		},
@@ -197,37 +194,17 @@ func init() {
 	})
 }
 
-// runClusterPoint measures one open-loop load level through the cluster.
+// runClusterPoint measures one open-loop load level through the cluster:
+// the shared point core (service.PointParams) plus placement, routing,
+// replication, fault injection and per-shard metrics.
 func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 	r := harness.NewParamReader(spec.Params)
+	pp := service.ReadPointParams(r, "cluster", 8000) // offered is cluster-wide
 	policy := r.Str("policy", PolicyLocalPacked)
 	shards := r.Int("shards", 2)
 	dimms := r.Int("dimms", 0)
 	capDIMM := r.Int("capdimm", 4)
 	span := r.Int64("span", 1)
-	backend := r.Str("backend", "pmemkv")
-	media := r.Str("media", "optane")
-	mode := r.Str("mode", "wal-flex")
-	arrival := r.Str("arrival", "poisson")
-	offered := r.Float("offered", 8000) // kops, cluster-wide
-	cycleUS := r.Float("cycle", 20)
-	onFrac := r.Float("onfrac", 0.25)
-	tenants := r.Int("tenants", 2)
-	theta := r.Float("theta", 0.99)
-	mix := r.Str("mix", "split")
-	hotFrac := r.Float("hotfrac", 0.9)
-	hotKeys := r.Int64("hotkeys", 0)
-	hotPeriod := r.Int64("hotperiod", 2000)
-	keys := r.Int64("keys", 200)
-	keySize := r.Int("keysize", 16)
-	valSize := r.Int("valsize", 128)
-	getFrac := r.Float("get", 0.75)
-	putFrac := r.Float("put", 0.2)
-	scanFrac := r.Float("scan", 0.05)
-	delFrac := r.Float("del", 0)
-	scanLen := r.Int("scanlen", 16)
-	scanMode := r.Str("scanmode", "emulate")
-	putlog := r.Bool("putlog", false)
 	replicate := r.Bool("replicate", false)
 	faultKind := r.Str("fault", "")
 	faultShard := r.Int("faultshard", 0)
@@ -238,45 +215,18 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 	churnPeriodUS := r.Float("churnperiod", 80)
 	churnDown := r.Float("churndown", 0.3)
 	churnJitter := r.Float("churnjitter", 0.2)
-	qcap := r.Int("qcap", 0)
-	pollNS := r.Float("poll", 200)
-	batch := r.Int("batch", 1)
-	lingerNS := r.Float("linger", 0)
-	pmBytes := r.Int64("pmbytes", 0)
-	dramBytes := r.Int64("drambytes", 0)
-	cacheBytes := r.Int64("cache", 0)
-	quotaBytes := r.Int64("quota", 0)
-	admit := r.Int("admit", 1)
-	evict := r.Str("evict", "clock")
-	tierKind := r.Str("tier", "")
-	llcKB := r.Int64("llckb", 0)
-	devOn := r.Bool("devstat", false)
 	if err := r.Err(); err != nil {
 		return harness.Trial{}, err
 	}
-	switch tierKind {
-	case "":
-	case "hot":
-		if cacheBytes <= 0 {
-			return harness.Trial{}, fmt.Errorf("cluster: tier=hot needs a positive cache size, got %d", cacheBytes)
-		}
+	switch pp.Tier {
+	case "", "hot":
 	case "memmode":
 		return harness.Trial{}, fmt.Errorf("cluster: tier=memmode is a single-node axis (service/cache/memmode)")
 	default:
-		return harness.Trial{}, fmt.Errorf("cluster: unknown tier %q (want hot)", tierKind)
+		return harness.Trial{}, fmt.Errorf("cluster: unknown tier %q (want hot)", pp.Tier)
 	}
-	if llcKB < 0 {
-		return harness.Trial{}, fmt.Errorf("cluster: llckb must be >= 0, got %d", llcKB)
-	}
-	if valSize < 8 {
-		// Every value starts with its 8-byte id stamp (ValInto).
-		return harness.Trial{}, fmt.Errorf("cluster: valsize must be >= 8, got %d", valSize)
-	}
-	if batch < 1 {
-		return harness.Trial{}, fmt.Errorf("cluster: batch size must be >= 1, got %d", batch)
-	}
-	if lingerNS < 0 {
-		return harness.Trial{}, fmt.Errorf("cluster: linger must be >= 0 ns, got %g", lingerNS)
+	if err := pp.Check(); err != nil {
+		return harness.Trial{}, err
 	}
 	switch faultKind {
 	case "", "crash", "stall", "socket", "churn":
@@ -292,82 +242,19 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 	if detectNS < 0 {
 		return harness.Trial{}, fmt.Errorf("cluster: detect must be >= 0 ns, got %g", detectNS)
 	}
-	var nativeScan bool
-	switch scanMode {
-	case "native":
-		nativeScan = true
-	case "emulate":
-	default:
-		return harness.Trial{}, fmt.Errorf("cluster: unknown scanmode %q (want emulate or native)", scanMode)
-	}
-	if offered <= 0 {
-		return harness.Trial{}, fmt.Errorf("cluster: offered load must be positive, got %g", offered)
-	}
-	if tenants < 1 {
-		return harness.Trial{}, fmt.Errorf("cluster: need at least one tenant, got %d", tenants)
-	}
-	if hotKeys == 0 {
-		hotKeys = keys/20 + 1
-	}
-	tens := make([]service.Tenant, tenants)
-	for i := range tens {
-		tens[i] = service.Tenant{Name: fmt.Sprintf("t%d", i)}
-		switch mix {
-		case "zipf":
-			tens[i].Theta = theta
-		case "uniform":
-		case "split":
-			if i%2 == 0 {
-				tens[i].Theta = theta
-			}
-		case "hotspot":
-			tens[i].HotFrac = hotFrac
-			tens[i].HotKeys = hotKeys
-			tens[i].HotPeriod = hotPeriod
-		case "hotsplit":
-			// Tenant 0 is the skewed hot-range tenant; the rest stay
-			// uniform, so shed accounting shows who a hot shard drops.
-			if i == 0 {
-				tens[i].HotFrac = hotFrac
-				tens[i].HotKeys = hotKeys
-				tens[i].HotPeriod = hotPeriod
-			}
-		default:
-			return harness.Trial{}, fmt.Errorf("cluster: unknown key mix %q (want zipf, uniform, split, hotspot or hotsplit)", mix)
-		}
-	}
 
-	cfg := platform.DefaultConfig()
-	cfg.TrackData = true
-	cfg.XP.Wear.Enabled = false
-	if llcKB > 0 {
-		// See runPoint: cache scenarios shrink the LLC so the working set
-		// actually reaches the memory tiers.
-		cfg.LLC.Lines = int(llcKB << 10 / 64)
-	}
-	p := platform.MustNew(cfg)
+	p := pp.NewPlatform()
 	defer p.Close()
-
 	cl, err := New(p, Config{
 		Policy: policy, Shards: shards, Workers: spec.Threads,
 		DIMMs: dimms, CapPerDIMM: capDIMM, ClientSocket: spec.Socket,
-		Span: span, QueueCap: qcap,
-		Backend: backend,
-		Spec: service.BackendSpec{
-			Media: media, Mode: mode,
-			Keys: int64(tenants) * keys, KeySize: keySize, ValSize: valSize,
-			PMBytes: pmBytes, DRAMBytes: dramBytes,
-			ScanSpan: keys, NativeScan: nativeScan,
-		},
-		PutLog: putlog, Replicate: replicate,
-		CacheBytes: cacheBytes, CacheQuota: quotaBytes,
-		CacheAdmit: admit, CacheEvict: evict,
-		CacheTenantSpan: keys, CacheSeed: spec.Seed ^ 0x407C,
+		Span: span, QueueCap: pp.QueueCap,
+		Backend: pp.Backend, Spec: pp.BackendSpec(),
+		PutLog: pp.PutLog, Replicate: replicate,
+		CacheBytes: pp.CacheBytes, CacheQuota: pp.QuotaBytes,
+		CacheAdmit: pp.Admit, CacheEvict: pp.Evict,
+		CacheTenantSpan: pp.Keys, CacheSeed: spec.Seed ^ 0x407C,
 	})
-	if err != nil {
-		return harness.Trial{}, err
-	}
-	arr, err := service.NewArrival(arrival, offered*1e3, sim.Micros(cycleUS), onFrac, spec.Seed^0x5A17)
 	if err != nil {
 		return harness.Trial{}, err
 	}
@@ -408,72 +295,24 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 			}
 		}
 	}
-	// Tracing mirrors the single-node point scenario: a recorder keyed off
-	// the spec's Trace flag (never a param, so seeds and results are
-	// untouched), with cluster-wide probes merged across the shard fabric.
-	var rec *telemetry.Recorder
-	var cacheStats func() (int64, int64)
-	if spec.Trace {
-		rec = telemetry.NewRecorder(service.TraceInterval(spec.Duration), 0)
-		if putlog {
-			rec.AddProbe(func(add func(string, float64)) {
-				var c pmem.Counters
-				for i := range cl.Shards {
-					if pl := cl.Shards[i].PutLog; pl != nil {
-						cc := pl.Counters()
-						c.Merge(&cc)
-					}
-				}
-				c.Gauges(add)
-			})
-		}
-		service.AddDeviceProbes(rec, p)
-		if cacheBytes > 0 {
-			rec.AddProbe(func(add func(string, float64)) { cl.CacheCounters().Gauges(add) })
-			cacheStats = func() (int64, int64) {
-				c := cl.CacheCounters()
-				return c.Hits, c.Misses
-			}
-		}
+	var hooks service.PointHooks
+	if pp.PutLog {
+		hooks.Log = cl.LogCounters
 	}
-	// The devstat watcher captures device-counter snapshots at the measured
-	// window's boundaries on its own read-only proc; see runPoint.
-	var dw *devstat.Watcher
-	if devOn {
-		dw = devstat.Watch(p, spec.Socket, spec.Warmup, spec.Duration)
+	if pp.CacheBytes > 0 {
+		hooks.Tier = cl.CacheCounters
 	}
-	res, err := service.Serve(service.Config{
-		Platform: p, Socket: spec.Socket,
-		Shards: cl.Shards, Route: cl.Route,
-		Arrival: arr, Tenants: tens,
-		Keys: keys, KeySize: keySize, ValSize: valSize,
-		GetFrac: getFrac, PutFrac: putFrac, ScanFrac: scanFrac, DelFrac: delFrac,
-		ScanLen:  scanLen,
-		Duration: spec.Duration, Warmup: spec.Warmup,
-		Poll: sim.Nanos(pollNS), Seed: spec.Seed,
-		BatchSize: batch, BatchLinger: sim.Nanos(lingerNS),
+	run, err := pp.Serve(spec, service.Config{
+		Platform: p, Shards: cl.Shards, Route: cl.Route,
 		Faults: faults, Detect: sim.Nanos(detectNS),
-		Recorder: rec, CacheStats: cacheStats,
-	})
+	}, hooks)
 	if err != nil {
 		return harness.Trial{}, err
 	}
 
-	workers := cl.TotalWorkers()
-	qs := res.Latency.Quantiles([]float64{0.5, 0.95, 0.99, 0.999})
-	m := map[string]float64{
-		"offered_kops":  res.OfferedRate / 1e3,
-		"achieved_kops": res.AchievedRate / 1e3,
-		"drop_frac":     dropFrac(res.Dropped, res.Offered),
-		"p50_ns":        qs[0],
-		"p95_ns":        qs[1],
-		"p99_ns":        qs[2],
-		"p999_ns":       qs[3],
-		"util":          res.Utilization(workers),
-		"qmax":          float64(res.MaxQueueLen),
-		"workers":       float64(workers),
-		"remote_shards": float64(cl.Placement.RemoteShards()),
-	}
+	res, m := run.Res, run.Metrics
+	m["workers"] = float64(cl.TotalWorkers())
+	m["remote_shards"] = float64(cl.Placement.RemoteShards())
 	maxShare := 0.0
 	for i := range res.Shards {
 		sh := &res.Shards[i]
@@ -486,42 +325,15 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 		}
 		m[fmt.Sprintf("s%d_share", i)] = share
 		m[fmt.Sprintf("s%d_p99_ns", i)] = sh.Latency.Percentile(0.99)
-		m[fmt.Sprintf("s%d_drop_frac", i)] = dropFrac(sh.Dropped, sh.Offered)
+		m[fmt.Sprintf("s%d_drop_frac", i)] = service.DropFrac(sh.Dropped, sh.Offered)
 		m[fmt.Sprintf("s%d_qmax", i)] = float64(sh.MaxQueueLen)
 	}
 	m["max_shard_share"] = maxShare
-	for i := range res.Tenants {
-		t := &res.Tenants[i]
-		m[fmt.Sprintf("t%d_p99_ns", i)] = t.Latency.Percentile(0.99)
-		m[fmt.Sprintf("t%d_drop_frac", i)] = dropFrac(t.Dropped, t.Offered)
-		harness.GateMetric(m, res.Dropped > 0, fmt.Sprintf("t%d_shed_ops", i), float64(t.Dropped))
-	}
-	// Fence-amortization readout across every shard's append logs, gated
-	// on the batch path being on (batch=1 keeps pre-batching scenario
-	// output byte-stable).
-	harness.GateMetrics(m, batch > 1 && putlog, func(m map[string]float64) {
-		var c pmem.Counters
-		for i := range cl.Shards {
-			if pl := cl.Shards[i].PutLog; pl != nil {
-				cc := pl.Counters()
-				c.Merge(&cc)
-			}
-		}
-		c.Metrics(m)
-	})
-	// Cache-tier readout merged across shards, gated on the tier being on
-	// (cache-less runs stay byte-stable).
-	harness.GateMetrics(m, cacheBytes > 0, func(m map[string]float64) {
-		cl.CacheCounters().Metrics(m)
-	})
-	// Device-health readout, gated on the devstat param (absent ⇒ zero
-	// dev_* keys, so pre-existing scenario output stays byte-identical):
-	// per-DIMM health metrics plus per-shard attribution through the
-	// placement's (socket, channel-set) — the namespace→DIMM-set mapping
-	// the cluster pinned when it carved each shard's backend.
-	harness.GateMetrics(m, dw != nil, func(m map[string]float64) {
-		w := dw.Window()
-		w.Metrics(m)
+	// Per-shard device health, attributed through the placement's
+	// (socket, channel-set) — the namespace→DIMM-set mapping the cluster
+	// pinned when it carved each shard's backend.
+	harness.GateMetrics(m, run.Dev != nil, func(m map[string]float64) {
+		w := run.Dev.Window()
 		for i, sp := range cl.Placement.Shards {
 			w.GroupMetrics(m, fmt.Sprintf("shard%d", i), sp.DataSocket, sp.Channels)
 		}
@@ -570,25 +382,7 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 		m["failover_p99_ns"] = wl.Percentile(0.99)
 		m["failover_shed_ops"] = float64(shed)
 	})
-	tr := harness.Trial{
-		Ops:     res.Completed,
-		Sim:     res.Window,
-		Latency: res.Latency,
-		Metrics: m,
-	}
-	if rec != nil {
-		run := rec.Finish("")
-		run.Metrics(m)
-		tr.Trace = &telemetry.Trace{Runs: []*telemetry.Run{run}}
-	}
-	return tr, nil
-}
-
-func dropFrac(dropped, offered int64) float64 {
-	if offered == 0 {
-		return 0
-	}
-	return float64(dropped) / float64(offered)
+	return run.Trial(), nil
 }
 
 // runClusterSweep fans a load grid out over nested cluster/point trials,
@@ -641,8 +435,8 @@ func runClusterSweep(spec harness.Spec) (harness.Trial, error) {
 						params[k] = v
 					}
 					params["policy"] = policy
-					curve, err := RunSweep(SweepConfig{
-						Params:  params,
+					curve, err := service.RunSweep(service.SweepConfig{
+						Scenario: "cluster/point", Params: params,
 						Threads: spec.Threads, Duration: spec.Duration, Warmup: spec.Warmup,
 						Seed:    spec.Seed,
 						MinKops: minKops, MaxKops: maxKops, Points: int(pointsF),
@@ -793,35 +587,4 @@ func workersLabel(threads int) string {
 		return "default"
 	}
 	return strconv.Itoa(threads)
-}
-
-// SweepConfig configures a per-policy cluster load sweep (a thin wrapper
-// over service.RunSweep pointed at cluster/point).
-type SweepConfig struct {
-	// Params are cluster/point params (policy, shards, mix, ...).
-	Params map[string]string
-	// Threads is the requested per-shard worker pool at every point.
-	Threads          int
-	Duration         sim.Time
-	Warmup           sim.Time
-	Seed             uint64
-	MinKops, MaxKops float64
-	Points           int
-	Parallel         int
-	// Trace asks every point trial to record spans and a timeline
-	// (non-identity, like Parallel; see service.SweepConfig.Trace).
-	Trace bool
-}
-
-// RunSweep measures one policy's throughput-latency curve.
-func RunSweep(sc SweepConfig) (service.Curve, error) {
-	return service.RunSweep(service.SweepConfig{
-		Scenario: "cluster/point",
-		Params:   sc.Params,
-		Threads:  sc.Threads, Duration: sc.Duration, Warmup: sc.Warmup,
-		Seed:    sc.Seed,
-		MinKops: sc.MinKops, MaxKops: sc.MaxKops, Points: sc.Points,
-		Parallel: sc.Parallel,
-		Trace:    sc.Trace,
-	})
 }

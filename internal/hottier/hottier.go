@@ -36,9 +36,9 @@ import (
 	"optanestudy/internal/sim"
 )
 
-// Backend is the store the tier fronts. It is structurally identical to
-// service.Backend (the tier both wraps one and is one), declared here so
-// the service package can depend on hottier without a cycle.
+// Backend is the store the tier fronts: service.Backend without GetInto
+// (the tier both wraps one and is one), declared here so the service
+// package can depend on hottier without a cycle.
 type Backend interface {
 	Get(ctx *platform.MemCtx, key []byte) ([]byte, bool)
 	Put(ctx *platform.MemCtx, key, val []byte) error
@@ -47,7 +47,7 @@ type Backend interface {
 }
 
 // BufferGetter is the allocation-free read path a Backend may additionally
-// implement (service.BufferGetter's shape): the tier prefers it on misses
+// implement (every service.Backend does): the tier prefers it on misses
 // so a miss-fill lands in the caller's buffer without touching the heap.
 type BufferGetter interface {
 	GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool)

@@ -18,6 +18,13 @@ import (
 // cost and queueing delay composes with it into end-to-end latency.
 type Backend interface {
 	Get(ctx *platform.MemCtx, key []byte) ([]byte, bool)
+	// GetInto is the allocation-free read the dispatch path serves GETs
+	// with: the value lands in the caller's buffer (its full length is
+	// returned) instead of a freshly allocated slice, which keeps the
+	// steady-state dispatch loop at zero allocations per op. The bytes
+	// moved through the simulated hierarchy are identical to Get, so
+	// timing does not change.
+	GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool)
 	Put(ctx *platform.MemCtx, key, val []byte) error
 	// Scan reads up to n records in key order starting at key, returning
 	// how many it touched. lsmkv serves it natively (a sorted memtable +
@@ -28,17 +35,6 @@ type Backend interface {
 	// Delete removes key (blind tombstone write for lsmkv, chain unlink
 	// for pmemkv).
 	Delete(ctx *platform.MemCtx, key []byte) error
-}
-
-// BufferGetter is the allocation-free read path a Backend may additionally
-// implement: the value lands in the caller's buffer (its full length is
-// returned) instead of a freshly allocated slice. The dispatch hot path
-// prefers it — a GET against a BufferGetter backend reads into the worker's
-// scratch and stays off the Go heap, which is what keeps the steady-state
-// dispatch loop at zero allocations per op. The bytes moved through the
-// simulated hierarchy are identical to Get, so timing does not change.
-type BufferGetter interface {
-	GetInto(ctx *platform.MemCtx, key, dst []byte) (int, bool)
 }
 
 // KeyFor renders the fixed-width key for a global key id, matching the

@@ -10,9 +10,10 @@ import (
 	"optanestudy/internal/stats"
 )
 
-// dispatchHarness drives the batched worker internals — push, popN,
-// executeBatch — exactly as the group-commit worker loop does, so the
-// allocation behavior it measures is the steady-state dispatch path's.
+// dispatchHarness drives the worker internals — push, popN, executeBatch
+// — exactly as the worker loop does, so the allocation behavior it
+// measures is the steady-state dispatch path's: the group-commit path at
+// depth > 1, the per-op path at depth 1.
 type dispatchHarness struct {
 	p     *platform.Platform
 	cfg   Config
@@ -22,6 +23,8 @@ type dispatchHarness struct {
 	sc    *opScratch
 	batch []request
 	n     int64
+	// gets makes every admitted request a GET (the read-path variants).
+	gets bool
 }
 
 func newDispatchHarness(tb testing.TB, batchSize int) *dispatchHarness {
@@ -82,14 +85,15 @@ func newDispatchHarnessOpts(tb testing.TB, batchSize int, backend string, cacheB
 }
 
 // step is one worker wakeup: admit a full group (a 0.7/0.3 put/get mix over
-// a rolling key window), drain it, and execute it as one group commit.
+// a rolling key window, or all GETs), drain it, and execute it — as one
+// group commit at depth > 1, as a single op at depth 1.
 func (h *dispatchHarness) step(ctx *platform.MemCtx) error {
 	proc := ctx.Proc()
 	now := proc.Now()
 	for i := 0; i < h.cfg.BatchSize; i++ {
 		h.n++
 		op := OpPut
-		if h.n%10 < 3 {
+		if h.gets || h.n%10 < 3 {
 			op = OpGet
 		}
 		h.sh.push(request{
@@ -111,20 +115,28 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	// cached-hit: the tier holds the whole keyspace, so warmed-up GETs stay
 	// in DRAM. miss-fill: the tier holds 1/4 of it, so steady state keeps
 	// evicting and installing slots. lsmkv pins DB.GetInto (memtable probe
-	// + SST binary search into the per-DB scratch).
+	// + SST binary search into the per-DB scratch). The depth1-* variants
+	// drive the per-op path with GETs only — the read-heavy serving mix's
+	// hot path.
 	variants := []struct {
 		name    string
+		depth   int
+		gets    bool
 		backend string
 		cache   int64
 	}{
-		{"pmemkv", "pmemkv", 0},
-		{"cached-hit", "pmemkv", 400 * 128},
-		{"miss-fill", "pmemkv", 100 * 128},
-		{"lsmkv-getinto", "lsmkv", 0},
+		{"pmemkv", 8, false, "pmemkv", 0},
+		{"cached-hit", 8, false, "pmemkv", 400 * 128},
+		{"miss-fill", 8, false, "pmemkv", 100 * 128},
+		{"lsmkv-getinto", 8, false, "lsmkv", 0},
+		{"depth1-pmemkv", 1, true, "pmemkv", 0},
+		{"depth1-cached-hit", 1, true, "pmemkv", 400 * 128},
+		{"depth1-lsmkv", 1, true, "lsmkv", 0},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			h := newDispatchHarnessOpts(t, 8, v.backend, v.cache)
+			h := newDispatchHarnessOpts(t, v.depth, v.backend, v.cache)
+			h.gets = v.gets
 			var avg float64
 			var stepErr error
 			h.p.Go("dispatch", 0, func(ctx *platform.MemCtx) {
@@ -151,10 +163,10 @@ func TestDispatchZeroAlloc(t *testing.T) {
 			}
 			if tier, ok := h.shard.Backend.(*hottier.Tier); ok {
 				c := tier.Counters()
-				if v.name == "cached-hit" && c.Hits == 0 {
+				if v.cache >= 400*128 && c.Hits == 0 {
 					t.Fatal("cached-hit variant never hit the tier")
 				}
-				if v.name == "miss-fill" && c.Evictions == 0 {
+				if v.cache < 400*128 && c.Evictions == 0 {
 					t.Fatal("miss-fill variant never evicted")
 				}
 			}

@@ -84,8 +84,8 @@ type failoverState struct {
 	stallUntil sim.Time
 	// inWindow spans crash → caught-up; promoted marks the promotion
 	// inside the current window; downSince is the crash instant.
-	inWindow bool
-	promoted bool
+	inWindow  bool
+	promoted  bool
 	downSince sim.Time
 
 	st FailoverStats

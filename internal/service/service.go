@@ -68,9 +68,10 @@ type Tenant struct {
 	HotPeriod int64
 }
 
-// Shard is one dispatch target of a sharded serving run: its own backend,
-// bounded admission queue and worker pool, with the workers placed on an
-// explicit socket. The cluster layer builds one Shard per placement slot.
+// Shard is one dispatch target of a serving run: its own backend, bounded
+// admission queue and worker pool, with the workers placed on an explicit
+// socket. A single-node run is one Shard; the cluster layer builds one
+// Shard per placement slot.
 type Shard struct {
 	Backend Backend
 	// Workers is this shard's pool size.
@@ -91,14 +92,9 @@ type Shard struct {
 // Config configures one open-loop serving run.
 type Config struct {
 	Platform *platform.Platform
-	Backend  Backend
-	// Socket places the worker threads.
+	// Socket places the dispatcher (and the fault-driver and trace-sampler
+	// procs); each Shard places its own workers.
 	Socket int
-	// Workers is the service thread-pool size.
-	Workers int
-	// QueueCap bounds the admission queue; a request arriving when the
-	// queue is full is shed (counted, not served). Defaults to 32×Workers.
-	QueueCap int
 	// Arrival is the seeded offered-load process.
 	Arrival Arrival
 	// Tenants share the offered load equally (round-robin-free random
@@ -113,20 +109,12 @@ type Config struct {
 	GetFrac, PutFrac, ScanFrac, DelFrac float64
 	// ScanLen is the number of consecutive keys a SCAN reads.
 	ScanLen int
-	// PutLog, when set, switches PUT to write-behind logging: the record
-	// is made durable on the worker's private append log (one sequential
-	// NT stream per worker) instead of updating the backend in place —
-	// the contention-study configuration. It must have at least Workers
-	// per-worker logs.
-	PutLog *AppendLog
-	// Shards, when non-empty, serves through shard-aware dispatch: the
-	// router sends each request to its shard's own bounded queue and
-	// worker pool. The flat Backend/Workers/QueueCap/PutLog fields must
-	// then be unset — every dispatch target is a Shard.
+	// Shards are the dispatch targets (at least one): each request goes
+	// to its shard's own bounded admission queue — a request arriving at
+	// a full queue is shed (counted, not served) — and worker pool.
 	Shards []Shard
 	// Route maps a request's global key id to a shard index. Required when
-	// len(Shards) > 1; a single shard (or the flat configuration) routes
-	// everything to shard 0.
+	// len(Shards) > 1; a single shard routes everything to shard 0.
 	Route func(key int64) int
 	// Duration is the measured window; Warmup precedes it (requests
 	// arriving during warmup are served but not recorded).
@@ -138,8 +126,8 @@ type Config struct {
 	// worker drains up to BatchSize admitted requests per wakeup and
 	// journals every logged PUT in the group through ONE fence (a
 	// pmem.Appender group commit), so the fence cost amortizes across the
-	// batch. 0 or 1 keeps the one-request-per-wakeup loop — and the
-	// one-fence-per-PUT persists — exactly as before.
+	// batch. 0 or 1 drains one request per wakeup, and a logged PUT pays
+	// its own fence.
 	BatchSize int
 	// BatchLinger bounds the latency a partially-filled batch may add: a
 	// worker that drained fewer than BatchSize requests waits at most
@@ -198,8 +186,8 @@ type ShardStats struct {
 // Result is the outcome of one serving run.
 type Result struct {
 	Tenants []TenantStats
-	// Shards is the per-dispatch-target breakdown; a flat single-backend
-	// run reports one entry.
+	// Shards is the per-dispatch-target breakdown; a single-node run
+	// reports one entry.
 	Shards []ShardStats
 	// Latency merges every tenant's end-to-end histogram.
 	Latency *stats.Histogram
@@ -238,7 +226,7 @@ type request struct {
 	op       Op
 	key      int64 // global key id
 	arrival  sim.Time
-	drained  sim.Time // stamped by pop/popN: when a worker took the request
+	drained  sim.Time // stamped by popN: when a worker took the request
 	measured bool
 }
 
@@ -307,28 +295,9 @@ func (s *shardState) push(r request) {
 	s.queue = append(s.queue, r)
 }
 
-func (s *shardState) trim() {
-	if s.head > 1024 && s.head*2 >= len(s.queue) {
-		s.queue = append(s.queue[:0], s.queue[s.head:]...)
-		s.head = 0
-	}
-}
-
-func (s *shardState) pop(now sim.Time) (request, bool) {
-	if s.occ.PopN(now, 1) == 0 {
-		return request{}, false
-	}
-	r := s.queue[s.head]
-	r.drained = now
-	s.head++
-	s.trim()
-	return r, true
-}
-
-// popN batch-drains up to n admitted requests at time now, appending
-// them to dst (which the caller sizes to its batch capacity, so the
-// steady state never reallocates) and closing each one's queue
-// residency exactly as single pops would.
+// popN drains up to n admitted requests at time now, appending them to
+// dst (which the caller sizes to its batch capacity, so the steady state
+// never reallocates) and closing each one's queue residency.
 func (s *shardState) popN(now sim.Time, n int, dst []request) []request {
 	k := s.occ.PopN(now, n)
 	for i := 0; i < k; i++ {
@@ -337,7 +306,10 @@ func (s *shardState) popN(now sim.Time, n int, dst []request) []request {
 		dst = append(dst, r)
 		s.head++
 	}
-	s.trim()
+	if s.head > 1024 && s.head*2 >= len(s.queue) {
+		s.queue = append(s.queue[:0], s.queue[s.head:]...)
+		s.head = 0
+	}
 	return dst
 }
 
@@ -347,37 +319,23 @@ func (s *shardState) popN(now sim.Time, n int, dst []request) []request {
 // (admitted requests are drained past the deadline so tails are not
 // truncated).
 //
-// Dispatch is shard-aware: with cfg.Shards set, the dispatcher routes each
-// request's key through cfg.Route to that shard's own bounded queue and
-// worker pool. The flat single-backend configuration is served through the
-// identical machinery as one shard — except that it draws a request's key
-// only after admission (routing is not needed to pick the queue), keeping
-// its per-tenant RNG streams, and therefore all pre-cluster scenario
-// results, exactly as they were before shards existed.
+// There is one dispatch path for every configuration: the dispatcher
+// draws each request's tenant, op and key, routes the key through
+// cfg.Route to a shard, and admits the request to that shard's bounded
+// queue or sheds it. A single-node run is simply one shard. The key is
+// drawn before the admission check, so a shed request still consumes its
+// draw — open-loop clients do not know the queue is full when they pick a
+// key.
 func Serve(cfg Config) (*Result, error) {
 	if cfg.Platform == nil {
-		return nil, errors.New("service: platform and backend required")
+		return nil, errors.New("service: platform required")
 	}
-	sharded := len(cfg.Shards) > 0
 	shards := cfg.Shards
-	if sharded {
-		if cfg.Backend != nil || cfg.PutLog != nil || cfg.Workers != 0 || cfg.QueueCap != 0 {
-			return nil, errors.New("service: flat backend fields must be unset when Shards is given")
-		}
-		if len(shards) > 1 && cfg.Route == nil {
-			return nil, errors.New("service: a route function is required with more than one shard")
-		}
-	} else {
-		if cfg.Backend == nil {
-			return nil, errors.New("service: platform and backend required")
-		}
-		if cfg.Workers < 1 {
-			return nil, errors.New("service: at least one worker required")
-		}
-		shards = []Shard{{
-			Backend: cfg.Backend, Workers: cfg.Workers, QueueCap: cfg.QueueCap,
-			Socket: cfg.Socket, PutLog: cfg.PutLog,
-		}}
+	if len(shards) == 0 {
+		return nil, errors.New("service: at least one shard required")
+	}
+	if len(shards) > 1 && cfg.Route == nil {
+		return nil, errors.New("service: a route function is required with more than one shard")
 	}
 	if cfg.Arrival == nil {
 		return nil, errors.New("service: arrival process required")
@@ -507,39 +465,16 @@ func Serve(cfg Config) (*Result, error) {
 			if measured {
 				st.tenants[ti].Offered++
 			}
-			if sharded {
-				// Routing needs the key, so sharded dispatch draws it
-				// before the admission check (a shed request still
-				// consumed a draw — open-loop clients do not know the
-				// queue is full when they pick a key).
-				key := gens[ti].next()
-				si := 0
-				if cfg.Route != nil {
-					si = cfg.Route(key)
-				}
-				if si < 0 || si >= len(st.shards) {
-					runErr = fmt.Errorf("service: route sent key %d to shard %d of %d", key, si, len(st.shards))
-					break
-				}
-				sh := &st.shards[si]
-				if measured {
-					sh.offered++
-				}
-				if sh.full() {
-					if measured {
-						st.tenants[ti].Dropped++
-						sh.dropped++
-						if fo := sh.fo; fo != nil && fo.inWindow {
-							fo.st.ShedWindow++
-						}
-						st.rec.RecordShed(ti, si)
-					}
-					continue
-				}
-				sh.push(request{tenant: ti, op: op, key: key, arrival: t, measured: measured})
-				continue
+			key := gens[ti].next()
+			si := 0
+			if cfg.Route != nil {
+				si = cfg.Route(key)
 			}
-			sh := &st.shards[0]
+			if si < 0 || si >= len(st.shards) {
+				runErr = fmt.Errorf("service: route sent key %d to shard %d of %d", key, si, len(st.shards))
+				break
+			}
+			sh := &st.shards[si]
 			if measured {
 				sh.offered++
 			}
@@ -550,112 +485,70 @@ func Serve(cfg Config) (*Result, error) {
 					if fo := sh.fo; fo != nil && fo.inWindow {
 						fo.st.ShedWindow++
 					}
-					st.rec.RecordShed(ti, 0)
+					st.rec.RecordShed(ti, si)
 				}
 				continue
 			}
-			sh.push(request{
-				tenant: ti, op: op, key: gens[ti].next(),
-				arrival: t, measured: measured,
-			})
+			sh.push(request{tenant: ti, op: op, key: key, arrival: t, measured: measured})
 		}
 		st.closed = true
 	})
 
-	// Workers: per-shard pop-execute loops. An idle worker re-polls its
+	// Workers: per-shard drain-execute loops. An idle worker re-polls its
 	// shard's queue every cfg.Poll; after the dispatcher closes, workers
-	// drain the backlog so admitted requests always complete. With
-	// cfg.BatchSize > 1 a worker drains a whole group per wakeup and
-	// journals its logged PUTs through one group commit; the default loop
-	// is the original one-request-per-wakeup path, untouched.
+	// drain the backlog so admitted requests always complete. Each wakeup
+	// drains up to depth = max(cfg.BatchSize, 1) requests; depth 1 is the
+	// one-request-per-wakeup loop, deeper groups journal their logged PUTs
+	// through one group commit (see executeBatch).
+	depth := max(cfg.BatchSize, 1)
 	for si := range shards {
 		si := si
 		shard := &shards[si]
 		sh := &st.shards[si]
 		for w := 0; w < shard.Workers; w++ {
 			w := w
-			name := fmt.Sprintf("serve-worker%d", w)
-			if sharded {
-				name = fmt.Sprintf("serve-s%dw%d", si, w)
-			}
-			if cfg.BatchSize > 1 {
-				p.Go(name, shard.Socket, func(ctx *platform.MemCtx) {
-					proc := ctx.Proc()
-					sc := newOpScratch(cfg)
-					batch := make([]request, 0, cfg.BatchSize)
-					fo := sh.fo
-					for runErr == nil {
-						if fo != nil && fo.blocked(proc.Now()) {
-							// Shard storage is down or stalled: the pool
-							// survives (the frontend lives on) but cannot
-							// serve until promotion or the stall deadline.
-							proc.Sleep(cfg.Poll)
-							continue
-						}
-						batch = sh.popN(proc.Now(), cfg.BatchSize, batch[:0])
-						if len(batch) == 0 {
-							if st.closed {
-								return
-							}
-							proc.Sleep(cfg.Poll)
-							continue
-						}
-						// Linger for stragglers when the batch came up short —
-						// but the linger deadline runs from the OLDEST drained
-						// request's arrival, so a request is never held more
-						// than BatchLinger past its arrival before execution
-						// starts. Under backlog the oldest request has already
-						// aged past the deadline and the group commits
-						// immediately: linger adds latency only at light load,
-						// and at most BatchLinger of it.
-						if len(batch) < cfg.BatchSize && cfg.BatchLinger > 0 && !st.closed {
-							if dl := batch[0].arrival + cfg.BatchLinger; dl > proc.Now() {
-								proc.Sleep(dl - proc.Now())
-								batch = sh.popN(proc.Now(), cfg.BatchSize-len(batch), batch)
-							}
-						}
-						t0 := proc.Now()
-						if err := executeBatch(ctx, cfg, shard, w, batch, sc, sh, st); err != nil {
-							runErr = err
-							return
-						}
-						sh.busy += proc.Now() - t0
-					}
-				})
-				continue
-			}
-			p.Go(name, shard.Socket, func(ctx *platform.MemCtx) {
+			p.Go(fmt.Sprintf("serve-s%dw%d", si, w), shard.Socket, func(ctx *platform.MemCtx) {
 				proc := ctx.Proc()
 				sc := newOpScratch(cfg)
+				batch := make([]request, 0, depth)
 				fo := sh.fo
 				for runErr == nil {
 					if fo != nil && fo.blocked(proc.Now()) {
+						// Shard storage is down or stalled: the pool
+						// survives (the frontend lives on) but cannot
+						// serve until promotion or the stall deadline.
 						proc.Sleep(cfg.Poll)
 						continue
 					}
-					req, ok := sh.pop(proc.Now())
-					if !ok {
+					batch = sh.popN(proc.Now(), depth, batch[:0])
+					if len(batch) == 0 {
 						if st.closed {
 							return
 						}
 						proc.Sleep(cfg.Poll)
 						continue
 					}
-					t0 := proc.Now()
-					var hits0 int64
-					if st.rec != nil && st.cacheStats != nil && req.op == OpGet {
-						hits0, _ = st.cacheStats()
+					// Linger for stragglers when the batch came up short —
+					// but the linger deadline runs from the OLDEST drained
+					// request's arrival, so a request is never held more
+					// than BatchLinger past its arrival before execution
+					// starts. Under backlog the oldest request has already
+					// aged past the deadline and the group commits
+					// immediately: linger adds latency only at light load,
+					// and at most BatchLinger of it. A depth-1 drain is
+					// never short, so it never lingers.
+					if len(batch) < depth && cfg.BatchLinger > 0 && !st.closed {
+						if dl := batch[0].arrival + cfg.BatchLinger; dl > proc.Now() {
+							proc.Sleep(dl - proc.Now())
+							batch = sh.popN(proc.Now(), depth-len(batch), batch)
+						}
 					}
-					if err := execute(ctx, cfg, shard, w, req, sc); err != nil {
+					t0 := proc.Now()
+					if err := executeBatch(ctx, cfg, shard, w, batch, sc, sh, st); err != nil {
 						runErr = err
 						return
 					}
-					t1 := proc.Now()
-					sh.busy += t1 - t0
-					st.record(sh, req, t1)
-					if st.rec != nil && req.measured {
-						st.recordSpan(shard, sh.idx, w, req, t1, hits0)
-					}
+					sh.busy += proc.Now() - t0
 				}
 			})
 		}
@@ -766,28 +659,6 @@ func (st *serveState) record(sh *shardState, req request, end sim.Time) {
 	sh.latency.Add(lat)
 }
 
-// recordSpan books one unbatched request's phase span: queue-wait is
-// admission to worker drain, and the execution interval is service —
-// except for a write-behind logged PUT, whose Append is one fused
-// render-persist-fence sequence, attributed wholly to persist. Callers
-// guard with st.rec != nil && req.measured, so the untraced hot path
-// never builds a span.
-func (st *serveState) recordSpan(shard *Shard, si, worker int, req request, end sim.Time, hits0 int64) {
-	span := telemetry.OpSpan{
-		Op: req.op.String(), Tenant: req.tenant, Shard: si, Worker: worker,
-		Key: req.key, CacheHit: -1,
-		Arrival: req.arrival, End: end,
-		QueueWait: req.drained - req.arrival,
-	}
-	if req.op == OpPut && shard.PutLog != nil {
-		span.Persist, span.HasPersist = end-req.drained, true
-	} else {
-		span.Service, span.HasService = end-req.drained, true
-	}
-	st.attributeCache(&span, req, hits0)
-	st.rec.RecordOp(&span)
-}
-
 // attributeCache resolves a traced GET's DRAM-tier outcome from the
 // cumulative hit counter snapshotted before the op executed.
 func (st *serveState) attributeCache(span *telemetry.OpSpan, req request, hits0 int64) {
@@ -829,13 +700,7 @@ func execute(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, req req
 	KeyInto(sc.key, req.key)
 	switch req.op {
 	case OpGet:
-		// Prefer the buffered read: same simulated cost as Get, but the
-		// value lands in the worker's scratch instead of a fresh slice.
-		if bg, ok := shard.Backend.(BufferGetter); ok {
-			bg.GetInto(ctx, sc.key, sc.val)
-			return nil
-		}
-		shard.Backend.Get(ctx, sc.key)
+		shard.Backend.GetInto(ctx, sc.key, sc.val)
 		return nil
 	case OpPut:
 		ValInto(sc.val, req.key+1)
@@ -859,14 +724,49 @@ func execute(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, req req
 	}
 }
 
-// executeBatch runs one drained group. Non-logged ops execute in arrival
-// order and complete at their own execution time; logged PUTs are staged
-// into the worker's group commit as they are reached and ALL complete at
-// the commit fence — their records are not durable (and so the requests
-// are not answerable) until the batch's single fence retires.
+// executeBatch runs one drained group. At depth 1 (cfg.BatchSize <= 1)
+// the group is a single request served on its own: a logged PUT pays
+// AppendLog.Append's one fence, and its span has no batch-wait segment.
+// Deeper groups run non-logged ops in arrival order, each completing at
+// its own execution time; logged PUTs are staged into the worker's group
+// commit as they are reached and ALL complete at the commit fence — their
+// records are not durable (and so the requests are not answerable) until
+// the batch's single fence retires.
 func executeBatch(ctx *platform.MemCtx, cfg Config, shard *Shard, worker int, batch []request, sc *opScratch, sh *shardState, st *serveState) error {
 	proc := ctx.Proc()
 	rec := st.rec
+	if cfg.BatchSize <= 1 {
+		req := batch[0]
+		var hits0 int64
+		if rec != nil && st.cacheStats != nil && req.op == OpGet {
+			hits0, _ = st.cacheStats()
+		}
+		if err := execute(ctx, cfg, shard, worker, req, sc); err != nil {
+			return err
+		}
+		end := proc.Now()
+		st.record(sh, req, end)
+		if rec != nil && req.measured {
+			// Queue-wait runs from admission to worker drain and the
+			// execution interval is service — except for a logged PUT,
+			// whose Append is one fused render-persist-fence sequence,
+			// attributed wholly to persist.
+			span := telemetry.OpSpan{
+				Op: req.op.String(), Tenant: req.tenant, Shard: sh.idx, Worker: worker,
+				Key: req.key, CacheHit: -1,
+				Arrival: req.arrival, End: end,
+				QueueWait: req.drained - req.arrival,
+			}
+			if req.op == OpPut && shard.PutLog != nil {
+				span.Persist, span.HasPersist = end-req.drained, true
+			} else {
+				span.Service, span.HasService = end-req.drained, true
+			}
+			st.attributeCache(&span, req, hits0)
+			rec.RecordOp(&span)
+		}
+		return nil
+	}
 	var bid int64
 	if rec != nil {
 		bid = rec.NextBatch()

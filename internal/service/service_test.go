@@ -100,7 +100,7 @@ func serveOnce(t *testing.T, seed uint64, offered float64, qcap int) *Result {
 		t.Fatal(err)
 	}
 	res, err := Serve(Config{
-		Platform: p, Backend: be, Workers: 4, QueueCap: qcap,
+		Platform: p, Shards: []Shard{{Backend: be, Workers: 4, QueueCap: qcap}},
 		Arrival: NewPoisson(offered, seed^0xF00D),
 		Tenants: []Tenant{{Name: "zipf", Theta: 0.99}, {Name: "uni"}},
 		Keys:    200, KeySize: 16, ValSize: 128,
@@ -321,6 +321,45 @@ func TestBackendSpecValidation(t *testing.T) {
 		}
 	})
 	p2.Run()
+}
+
+// TestServeValidation: every dispatch target is a Shard, so a config
+// with none (or with several and no route) is refused before anything
+// runs.
+func TestServeValidation(t *testing.T) {
+	p := testPlatform(t)
+	be, err := NewPMemKV(p, BackendSpec{Media: "optane", Keys: 20, KeySize: 16, ValSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{
+		Platform: p, Arrival: NewDeterministic(1e6), Tenants: []Tenant{{Name: "t"}},
+		Keys: 10, KeySize: 16, ValSize: 64, GetFrac: 1, Duration: sim.Microsecond,
+	}
+	one := Shard{Backend: be, Workers: 1}
+	for _, tc := range []struct {
+		name   string
+		shards []Shard
+		route  func(int64) int
+		want   string
+	}{
+		{"no shards", nil, nil, "at least one shard"},
+		{"empty shards", []Shard{}, nil, "at least one shard"},
+		{"two shards, no route", []Shard{one, one}, nil, "route function"},
+		{"no backend", []Shard{{Workers: 1}}, nil, "no backend"},
+		{"no workers", []Shard{{Backend: be}}, nil, "at least one worker"},
+	} {
+		cfg := base
+		cfg.Shards, cfg.Route = tc.shards, tc.route
+		if _, err := Serve(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	cfg := base
+	cfg.Shards = []Shard{one}
+	if _, err := Serve(cfg); err != nil {
+		t.Fatalf("one shard, no route: %v", err)
+	}
 }
 
 func TestKneeIndex(t *testing.T) {
