@@ -103,23 +103,28 @@ func TestFailoverSweepFaultFreeLegNeutral(t *testing.T) {
 		}
 		return curve
 	}
-	grid, extras, err := faultGridParams(map[string]string{
+	spec := harness.Spec{Params: map[string]string{
 		"faultgrid":  "none,crash",
 		"faultshard": "0", "faultat": "0.4", "detect": "2000",
-	})
+		"minkops": "4000", "maxkops": "16000", "points": "3",
+	}}
+	for k, v := range base {
+		spec.Params[k] = v
+	}
+	legs, err := service.SweepLegs(spec, "cluster/point")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 2 || grid[0] != "none" || grid[1] != "crash" || len(extras) != 3 {
-		t.Fatalf("fault grid parsed as %v / extras %v", grid, extras)
+	if len(legs) != 2 || legs[0].Suffix != "@fnone" || legs[1].Suffix != "@fcrash" || len(legs[1].Params) != len(base)+5 {
+		t.Fatalf("fault grid expanded to %v", legs)
 	}
 	// The none leg must BE the uninjected params map — not a near-copy
 	// with fault keys set.
-	if leg := faultLegParams(base, "none", extras); !reflect.DeepEqual(leg, base) {
+	if leg := legs[0].Params; !reflect.DeepEqual(leg, base) {
 		t.Fatalf("none leg params %v differ from the uninjected base %v", leg, base)
 	}
 	uninjected := run(base)
-	none := run(faultLegParams(base, "none", extras))
+	none := run(legs[0].Params)
 	if !reflect.DeepEqual(none, uninjected) {
 		t.Fatal("fault-free leg curve differs from the uninjected sweep")
 	}
@@ -133,7 +138,7 @@ func TestFailoverSweepFaultFreeLegNeutral(t *testing.T) {
 	}
 	// The crash leg recovers under every load level, with a tail far above
 	// the fault-free one.
-	crash := run(faultLegParams(base, "crash", extras))
+	crash := run(legs[1].Params)
 	for i, pt := range crash {
 		if pt.Metrics["crashes"] != 1 || pt.Metrics["recovery_ns"] <= 0 {
 			t.Errorf("crash leg at %g kops: crashes=%g recovery_ns=%g, want one recovered crash",

@@ -12,7 +12,7 @@ import (
 
 // TestCacheSweepShape pins the hot-tier claims the cache sweep axis exists
 // to demonstrate, mirroring the service/cache/sweep preset: the cache-0 leg
-// is exactly the uncached curve (the CacheLegParams identity), the cached
+// is exactly the uncached curve (the base-leg identity), the cached
 // legs move the saturation knee strictly right on a read-heavy Zipf mix,
 // the steady-state hit rate grows with tier size, and mid-load p50 drops
 // when repeat GETs are served from DRAM instead of the PM media.
@@ -24,7 +24,7 @@ func TestCacheSweepShape(t *testing.T) {
 	}
 	run := func(params map[string]string) Curve {
 		curve, err := RunSweep(SweepConfig{
-			Backend: "pmemkv", Params: params, Threads: 8,
+			Scenario: "service/kv/pmemkv", Params: params, Threads: 8,
 			Duration: 300 * sim.Microsecond, Seed: 42,
 			MinKops: 4000, MaxKops: 28000, Points: 7,
 		})
@@ -33,22 +33,23 @@ func TestCacheSweepShape(t *testing.T) {
 		}
 		return curve
 	}
-	grid, extras, err := CacheGridParams(map[string]string{"cachegrid": "0,65536,524288"})
+	legs, err := SweepLegs(sweepSpec(base, "cachegrid", "0,65536,524288"), "service/kv/pmemkv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 3 || grid[0] != 0 || len(extras) != 0 {
-		t.Fatalf("cache grid parsed as %v / extras %v", grid, extras)
+	grid := []int64{0, 65536, 524288}
+	if len(legs) != 3 || legs[0].Suffix != "@c0" || len(legs[1].Params) != len(base)+1 {
+		t.Fatalf("cache grid expanded to %v", legs)
 	}
 	curves := make(map[int64]Curve, len(grid))
-	for _, cache := range grid {
-		curves[cache] = run(CacheLegParams(base, cache, extras))
+	for i, cache := range grid {
+		curves[cache] = run(legs[i].Params)
 	}
 	c0, cSmall, cBig := curves[0], curves[65536], curves[524288]
 
 	// The cache-0 leg must BE the uncached curve — same params, same derived
 	// seeds, same numbers — not a near-copy with cache keys set to zero.
-	if leg := CacheLegParams(base, 0, extras); !reflect.DeepEqual(leg, base) {
+	if leg := legs[0].Params; !reflect.DeepEqual(leg, base) {
 		t.Fatalf("cache-0 leg params %v differ from the uncached base %v", leg, base)
 	}
 	if uncached := run(base); !reflect.DeepEqual(c0, uncached) {

@@ -2,6 +2,8 @@ package service
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"strconv"
 	"strings"
 
@@ -12,18 +14,13 @@ import (
 
 // SweepConfig bounds one load sweep: the point scenario to drive, the
 // offered-load grid, and the knobs shared by every point. Each point is
-// one harness trial of the "service/kv/<backend>" scenario, so sweeps and
-// single-point CLI runs can never disagree on how a load level is
-// measured, and the points fan out across Parallel workers with seeds
-// derived from each point's resolved spec — the curve is identical at any
-// pool width.
+// one harness trial of the point scenario, so sweeps and single-point CLI
+// runs can never disagree on how a load level is measured, and the points
+// fan out across Parallel workers with seeds derived from each point's
+// resolved spec — the curve is identical at any pool width.
 type SweepConfig struct {
-	// Backend is "pmemkv" or "lsmkv".
-	Backend string
-	// Scenario is the point scenario the sweep drives; empty means
-	// "service/kv/"+Backend. The cluster layer points it at its own
-	// shard-aware point scenario ("cluster/point") to reuse the identical
-	// grid/knee machinery.
+	// Scenario is the point scenario the sweep drives: "service/kv/<backend>"
+	// for single-node sweeps, "cluster/point" for the sharded fabric.
 	Scenario string
 	// Params are extra point-scenario params (media, arrival, mix, ...).
 	Params map[string]string
@@ -72,37 +69,24 @@ type Point struct {
 // Curve is a throughput-latency curve, in ascending offered-load order.
 type Curve []Point
 
-// Grid returns the sweep's offered-load grid in kops.
-func (sc SweepConfig) Grid() []float64 {
-	n := sc.Points
-	if n < 2 {
-		n = 2
+// RunSweep measures the curve.
+func RunSweep(sc SweepConfig) (Curve, error) {
+	if sc.Scenario == "" {
+		return nil, fmt.Errorf("service: sweep has no point scenario")
 	}
-	grid := make([]float64, n)
-	step := (sc.MaxKops - sc.MinKops) / float64(n-1)
+	if !(sc.MinKops > 0 && sc.MaxKops >= sc.MinKops && !math.IsInf(sc.MaxKops, 1)) || sc.Points < 2 {
+		return nil, fmt.Errorf("service: bad sweep grid: %d points over [%g, %g] kops", sc.Points, sc.MinKops, sc.MaxKops)
+	}
+	grid := make([]float64, sc.Points)
+	step := (sc.MaxKops - sc.MinKops) / float64(sc.Points-1)
 	for i := range grid {
 		grid[i] = sc.MinKops + float64(i)*step
 	}
-	return grid
-}
-
-// RunSweep measures the curve.
-func RunSweep(sc SweepConfig) (Curve, error) {
-	if sc.Backend == "" {
-		sc.Backend = "pmemkv"
-	}
-	if sc.Scenario == "" {
-		sc.Scenario = "service/kv/" + sc.Backend
-	}
-	if sc.MinKops <= 0 || sc.MaxKops < sc.MinKops {
-		return nil, fmt.Errorf("service: bad sweep grid [%g, %g]", sc.MinKops, sc.MaxKops)
-	}
-	grid := sc.Grid()
 	specs := make([]harness.Spec, len(grid))
 	for i, kops := range grid {
-		params := make(map[string]string, len(sc.Params)+1)
-		for k, v := range sc.Params {
-			params[k] = v
+		params := maps.Clone(sc.Params)
+		if params == nil {
+			params = make(map[string]string, 1)
 		}
 		params["offered"] = strconv.FormatFloat(kops, 'g', -1, 64)
 		specs[i] = harness.Spec{
@@ -138,50 +122,41 @@ func RunSweep(sc SweepConfig) (Curve, error) {
 	return curve, nil
 }
 
-// GridParams consumes the sweep grid params ("minkops", "maxkops",
-// "points") from params — leaving everything else for the point scenario —
-// and returns the grid bounds, falling back to the given defaults. Both
-// the service and cluster sweep scenarios parse their grids through this
-// one helper so they can never drift.
-func GridParams(params map[string]string, defMin, defMax, defPoints float64) (minKops, maxKops, points float64, err error) {
-	take := func(key string, def float64) (float64, error) {
-		v, ok := params[key]
-		if !ok {
-			return def, nil
-		}
-		delete(params, key)
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("param %s=%q: not a valid float", key, v)
-		}
-		return f, nil
-	}
-	if minKops, err = take("minkops", defMin); err != nil {
-		return 0, 0, 0, err
-	}
-	if maxKops, err = take("maxkops", defMax); err != nil {
-		return 0, 0, 0, err
-	}
-	if points, err = take("points", defPoints); err != nil {
-		return 0, 0, 0, err
-	}
-	return minKops, maxKops, points, nil
-}
-
-// EmitCurve folds one measured curve into a trial: the knee and saturation
-// summary plus per-point achieved/p99 metrics, all under an optional key
-// suffix (used when one scenario races several grids), counting one op per
-// point.
+// EmitCurve folds one measured curve into a trial, every key under the
+// leg's suffix (empty on a one-leg sweep), counting one op per point: the
+// knee and saturation summary, per-point achieved/p99, and the readouts a
+// leg's points carry only when their feature is on — fences per op and
+// tier hit rate at the deepest point (where batches fill and the tier is
+// warmest), per-point failover outcomes, and the deepest point's shed
+// counts (who gets dropped at the top of the grid).
 func EmitCurve(tr *harness.Trial, c Curve, suffix string) {
 	knee := c.KneeIndex()
 	tr.Metrics["knee_kops"+suffix] = c[knee].OfferedKops
 	tr.Metrics["sat_kops"+suffix] = c.SaturationKops()
+	tr.Metrics["p50_knee_ns"+suffix] = c[knee].P50
 	tr.Metrics["p99_knee_ns"+suffix] = c[knee].P99
 	tr.Metrics["p99_max_ns"+suffix] = c[len(c)-1].P99
 	for _, pt := range c {
 		tr.Metrics[fmt.Sprintf("achieved@%g%s", pt.OfferedKops, suffix)] = pt.AchievedKops
 		tr.Metrics[fmt.Sprintf("p99@%g%s", pt.OfferedKops, suffix)] = pt.P99
+		for _, key := range []string{"recovery_ns", "promote_ns", "failover_p99_ns", "lost_recs"} {
+			if f, ok := pt.Metrics[key]; ok {
+				tr.Metrics[fmt.Sprintf("%s@%g%s", key, pt.OfferedKops, suffix)] = f
+			}
+		}
 		tr.Ops++
+	}
+	deep := c[len(c)-1].Metrics
+	if f, ok := deep["pmem_fence_per_op"]; ok {
+		tr.Metrics["fence_per_op_deep"+suffix] = f
+	}
+	if f, ok := deep["cache_hit_rate"]; ok {
+		tr.Metrics["cache_hit_rate_deep"+suffix] = f
+	}
+	for k, f := range deep {
+		if strings.HasSuffix(k, "_shed_ops") {
+			tr.Metrics[k+suffix] = f
+		}
 	}
 }
 

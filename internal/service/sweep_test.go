@@ -21,7 +21,7 @@ func defaultSweep(t *testing.T) Curve {
 	t.Helper()
 	// Mirrors the service/kv/sweep-pmemkv preset.
 	curve, err := RunSweep(SweepConfig{
-		Backend: "pmemkv", Threads: 8,
+		Scenario: "service/kv/pmemkv", Threads: 8,
 		Duration: 300 * sim.Microsecond, Seed: 33,
 		MinKops: 2000, MaxKops: 44000, Points: 7,
 	})
@@ -116,7 +116,7 @@ func TestContentionShape(t *testing.T) {
 	}
 	run := func(threads int) Curve {
 		curve, err := RunSweep(SweepConfig{
-			Backend: "pmemkv", Params: params, Threads: threads,
+			Scenario: "service/kv/pmemkv", Params: params, Threads: threads,
 			Duration: 300 * sim.Microsecond, Seed: 35,
 			MinKops: 3000, MaxKops: 21000, Points: 7,
 		})
@@ -150,7 +150,7 @@ func TestContentionShape(t *testing.T) {
 
 // TestBatchSweepShape pins the group-commit claims the batch sweep axis
 // exists to demonstrate, mirroring the service/batch/sweep preset: the
-// depth-1 leg is exactly the unbatched contention curve (the BatchLegParams
+// depth-1 leg is exactly the unbatched contention curve (the base-leg
 // identity), deeper legs shift the saturation knee to a higher offered
 // load, the deepest grid point runs well under one fence per op, and the
 // light-load p50 penalty stays within the linger bound.
@@ -162,7 +162,7 @@ func TestBatchSweepShape(t *testing.T) {
 	}
 	run := func(params map[string]string) Curve {
 		curve, err := RunSweep(SweepConfig{
-			Backend: "pmemkv", Params: params, Threads: 4,
+			Scenario: "service/kv/pmemkv", Params: params, Threads: 4,
 			Duration: 300 * sim.Microsecond, Seed: 35,
 			MinKops: 3000, MaxKops: 21000, Points: 7,
 		})
@@ -171,24 +171,23 @@ func TestBatchSweepShape(t *testing.T) {
 		}
 		return curve
 	}
-	grid, linger, err := BatchGridParams(map[string]string{
-		"batchgrid": "1,8,32", "batchlinger": "1000",
-	})
+	legs, err := SweepLegs(sweepSpec(base, "batchgrid", "1,8,32", "batchlinger", "1000"), "service/kv/pmemkv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 3 || grid[0] != 1 || linger != "1000" {
-		t.Fatalf("batch grid parsed as %v / linger %q", grid, linger)
+	grid := []int{1, 8, 32}
+	if len(legs) != 3 || legs[0].Suffix != "@b1" || legs[1].Params["linger"] != "1000" {
+		t.Fatalf("batch grid expanded to %v", legs)
 	}
 	curves := make(map[int]Curve, len(grid))
-	for _, depth := range grid {
-		curves[depth] = run(BatchLegParams(base, depth, linger))
+	for i, depth := range grid {
+		curves[depth] = run(legs[i].Params)
 	}
 	b1, b8, b32 := curves[1], curves[8], curves[32]
 
 	// The depth-1 leg must BE the unbatched curve — same params, same
 	// derived seeds, same numbers — not a near-copy with batch keys set.
-	if legs := BatchLegParams(base, 1, linger); !reflect.DeepEqual(legs, base) {
+	if legs := legs[0].Params; !reflect.DeepEqual(legs, base) {
 		t.Fatalf("depth-1 leg params %v differ from the unbatched base %v", legs, base)
 	}
 	if unbatched := run(base); !reflect.DeepEqual(b1, unbatched) {
