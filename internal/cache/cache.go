@@ -11,6 +11,8 @@
 package cache
 
 import (
+	"slices"
+
 	"optanestudy/internal/mem"
 	"optanestudy/internal/sim"
 )
@@ -54,7 +56,7 @@ type Victim struct {
 type LLC struct {
 	cfg   Config
 	rng   *sim.RNG
-	idx   map[int64]int32
+	idx   mem.Table[int32]
 	pages [][]line
 	n     int
 }
@@ -87,11 +89,7 @@ func New(cfg Config) *LLC {
 	if cfg.Lines < 16 {
 		cfg.Lines = 16
 	}
-	return &LLC{
-		cfg: cfg,
-		rng: sim.NewRNG(cfg.Seed),
-		idx: make(map[int64]int32),
-	}
+	return &LLC{cfg: cfg, rng: sim.NewRNG(cfg.Seed)}
 }
 
 // HitLatency returns the configured hit latency.
@@ -115,7 +113,7 @@ func (c *LLC) grow() {
 
 // lookup returns addr's resident line, or nil.
 func (c *LLC) lookup(addr int64) *line {
-	if i, ok := c.idx[addr]; ok {
+	if i, ok := c.idx.Get(addr); ok {
 		return c.slot(int(i))
 	}
 	return nil
@@ -123,7 +121,7 @@ func (c *LLC) lookup(addr int64) *line {
 
 // Present reports whether addr's line is resident.
 func (c *LLC) Present(addr int64) bool {
-	_, ok := c.idx[addr]
+	_, ok := c.idx.Get(addr)
 	return ok
 }
 
@@ -148,8 +146,8 @@ func (c *LLC) remove(i int) {
 	moved := *c.slot(last)
 	*c.slot(i) = moved
 	*c.slot(last) = line{}
-	c.idx[moved.addr] = int32(i)
-	delete(c.idx, addr)
+	c.idx.Put(moved.addr, int32(i))
+	c.idx.Delete(addr)
 	c.n = last
 }
 
@@ -171,7 +169,7 @@ func (c *LLC) insert(addr int64) (*line, Victim, bool) {
 	c.grow()
 	l := c.slot(c.n)
 	*l = line{addr: addr}
-	c.idx[addr] = int32(c.n)
+	c.idx.Put(addr, int32(c.n))
 	c.n++
 	return l, v, evicted
 }
@@ -220,7 +218,7 @@ func (c *LLC) WriteBack(addr int64) ([]byte, uint64, bool) {
 // Evict removes the line (clflush/clflushopt semantics), returning its
 // overlay data, mask, and whether it was dirty.
 func (c *LLC) Evict(addr int64) ([]byte, uint64, bool) {
-	i, ok := c.idx[addr]
+	i, ok := c.idx.Get(addr)
 	if !ok {
 		return nil, 0, false
 	}
@@ -242,7 +240,7 @@ func (c *LLC) drain(fn func(l *line)) int {
 		}
 		*l = line{}
 	}
-	clear(c.idx)
+	c.idx.Clear()
 	c.n = 0
 	return dirty
 }
@@ -278,35 +276,44 @@ func (c *LLC) DirtyLines() []int64 {
 
 // WCBuffer is one thread's write-combining buffer set for non-temporal
 // stores: partially-filled 64 B lines awaiting completion or a fence.
+// Posted lines go on a free list and are reused by later fills, so a
+// steady stream of partial stores allocates nothing.
 type WCBuffer struct {
-	pending map[int64]*wcLine
-	order   []int64
+	pending mem.Table[*wcLine] // by line address
+	order   []*wcLine          // fill order
+	free    []*wcLine
 }
 
 type wcLine struct {
+	addr int64
 	mask uint64 // bitmask of written bytes
-	data []byte
+	data [mem.CacheLine]byte
 }
 
 // NewWCBuffer returns an empty write-combining buffer.
-func NewWCBuffer() *WCBuffer {
-	return &WCBuffer{pending: make(map[int64]*wcLine)}
-}
+func NewWCBuffer() *WCBuffer { return &WCBuffer{} }
 
 // fullMask is the mask of a completely written 64 B line.
 const fullMask = ^uint64(0)
 
 // Write records sub-line non-temporal stores. It returns the line address
 // and data if the line is now complete and must be posted, with ok=true.
-// Complete 64 B stores should bypass the buffer entirely.
+// The returned data is the buffer's own line storage, valid until the next
+// call on w. Complete 64 B stores should bypass the buffer entirely.
 func (w *WCBuffer) Write(addr int64, data []byte) (flushAddr int64, flushData []byte, ok bool) {
 	lineAddr := mem.LineAddr(addr)
 	off := int(addr - lineAddr)
-	l := w.pending[lineAddr]
+	l, _ := w.pending.Get(lineAddr)
 	if l == nil {
-		l = &wcLine{data: make([]byte, mem.CacheLine)}
-		w.pending[lineAddr] = l
-		w.order = append(w.order, lineAddr)
+		if n := len(w.free); n > 0 {
+			l = w.free[n-1]
+			w.free = w.free[:n-1]
+			*l = wcLine{addr: lineAddr}
+		} else {
+			l = &wcLine{addr: lineAddr}
+		}
+		w.pending.Put(lineAddr, l)
+		w.order = append(w.order, l)
 	}
 	n := len(data)
 	if data != nil {
@@ -316,40 +323,32 @@ func (w *WCBuffer) Write(addr int64, data []byte) (flushAddr int64, flushData []
 		l.mask |= 1 << uint(off+i)
 	}
 	if l.mask == fullMask {
-		delete(w.pending, lineAddr)
-		w.dropOrder(lineAddr)
-		return lineAddr, l.data, true
+		w.pending.Delete(lineAddr)
+		i := slices.Index(w.order, l)
+		w.order = slices.Delete(w.order, i, i+1)
+		w.free = append(w.free, l)
+		return lineAddr, l.data[:], true
 	}
 	return 0, nil, false
-}
-
-func (w *WCBuffer) dropOrder(addr int64) {
-	for i, a := range w.order {
-		if a == addr {
-			w.order = append(w.order[:i], w.order[i+1:]...)
-			return
-		}
-	}
 }
 
 // Flush drains all partial lines in fill order (an sfence does this),
 // invoking post for each.
 func (w *WCBuffer) Flush(post func(addr int64, data []byte, mask uint64)) {
-	for _, addr := range w.order {
-		l := w.pending[addr]
-		post(addr, l.data, l.mask)
-		delete(w.pending, addr)
+	for _, l := range w.order {
+		post(l.addr, l.data[:], l.mask)
 	}
-	w.order = w.order[:0]
+	w.Drop()
 }
 
 // Drop discards all partial lines (crash semantics). Returns the count lost.
 func (w *WCBuffer) Drop() int {
-	n := len(w.pending)
-	w.pending = make(map[int64]*wcLine)
+	n := w.pending.Len()
+	w.pending.Clear()
+	w.free = append(w.free, w.order...)
 	w.order = w.order[:0]
 	return n
 }
 
 // Pending returns the number of partially-filled lines.
-func (w *WCBuffer) Pending() int { return len(w.pending) }
+func (w *WCBuffer) Pending() int { return w.pending.Len() }

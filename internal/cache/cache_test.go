@@ -150,13 +150,13 @@ func TestLLCIndexInvariant(t *testing.T) {
 			case 3:
 				c.Evict(addr)
 			}
-			if c.Len() > 32 || len(c.idx) != c.Len() {
+			if c.Len() > 32 || c.idx.Len() != c.Len() {
 				return false
 			}
 		}
 		for i := 0; i < c.Len(); i++ {
 			a := c.slot(i).addr
-			if int(c.idx[a]) != i || !c.Present(a) {
+			if j, ok := c.idx.Get(a); !ok || int(j) != i || !c.Present(a) {
 				return false
 			}
 		}
@@ -432,5 +432,44 @@ func TestWCBufferUnalignedSpans(t *testing.T) {
 	}
 	if data[60] != 1 || data[63] != 4 {
 		t.Fatal("tail bytes lost")
+	}
+}
+
+// Posted and flushed lines are reused by later fills: a reused line must
+// start with no mask and zero data, and a steady stream of sub-line
+// stores must not allocate.
+func TestWCBufferReusesLines(t *testing.T) {
+	w := NewWCBuffer()
+	w.Write(0, bytes.Repeat([]byte{9}, 64-8))
+	w.Write(64*5, bytes.Repeat([]byte{9}, 8))
+	w.Write(64-8, bytes.Repeat([]byte{9}, 8)) // completes line 0
+	w.Flush(func(int64, []byte, uint64) {})
+	w.Write(128+4, []byte{1, 2})
+	w.Write(192, []byte{3})
+	var got []uint64
+	w.Flush(func(addr int64, data []byte, mask uint64) {
+		got = append(got, mask)
+		for i, b := range data {
+			if mask&(1<<uint(i)) == 0 && b != 0 {
+				t.Errorf("line %d: stale byte %d = %d outside the mask", addr, i, b)
+			}
+		}
+	})
+	if len(got) != 2 || got[0] != 0b11<<4 || got[1] != 1 {
+		t.Fatalf("flushed masks = %b, want [110000 1]", got)
+	}
+	half := make([]byte, 32)
+	addr := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		w.Write(addr, half)
+		w.Write(addr+64+32, half)
+		if _, _, ok := w.Write(addr+32, half); !ok {
+			t.Fatal("line not completed")
+		}
+		w.Flush(func(int64, []byte, uint64) {})
+		addr += 128
+	})
+	if allocs != 0 {
+		t.Fatalf("steady sub-line stores allocate %.1f per run, want 0", allocs)
 	}
 }

@@ -1,6 +1,9 @@
 package dimm
 
-import "optanestudy/internal/sim"
+import (
+	"optanestudy/internal/mem"
+	"optanestudy/internal/sim"
+)
 
 // xpEntry is one 256 B XPLine slot in the XPBuffer.
 type xpEntry struct {
@@ -17,9 +20,9 @@ type xpEntry struct {
 // is what throttles WPQ drain when the media falls behind.
 type xpBuffer struct {
 	cap       int
-	entries   map[int64]*xpEntry
-	head      *xpEntry // most recently used
-	tail      *xpEntry // least recently used
+	entries   mem.Table[*xpEntry] // by XPLine address
+	head      *xpEntry            // most recently used
+	tail      *xpEntry            // least recently used
 	liveCount int
 	free      *xpEntry // recycled entries, chained through next
 
@@ -32,10 +35,12 @@ func (b *xpBuffer) init(capacity int) {
 		capacity = 2
 	}
 	b.cap = capacity
-	b.entries = make(map[int64]*xpEntry, capacity)
 }
 
-func (b *xpBuffer) lookup(line int64) *xpEntry { return b.entries[line] }
+func (b *xpBuffer) lookup(line int64) *xpEntry {
+	e, _ := b.entries.Get(line)
+	return e
+}
 
 // touch moves e to the MRU position.
 func (b *xpBuffer) touch(e *xpEntry) {
@@ -84,7 +89,7 @@ func (b *xpBuffer) insert(line int64) *xpEntry {
 	} else {
 		e = &xpEntry{line: line}
 	}
-	b.entries[line] = e
+	b.entries.Put(line, e)
 	b.pushFront(e)
 	b.liveCount++
 	return e
@@ -95,7 +100,7 @@ func (b *xpBuffer) insert(line int64) *xpEntry {
 // the free list. Callers may still read e's fields until the next insert,
 // which is when the slot is reused.
 func (b *xpBuffer) remove(e *xpEntry) {
-	delete(b.entries, e.line)
+	b.entries.Delete(e.line)
 	b.unlink(e)
 	b.liveCount--
 	e.next, b.free = b.free, e

@@ -45,18 +45,15 @@ func XPLinesIn(addr int64, size int) int {
 // 4 KB pages on demand. It holds the durable contents of simulated memory.
 // The zero value is ready to use.
 type DataStore struct {
-	pages map[int64]*[Page]byte
+	pages Table[*[Page]byte] // keyed by page address
 }
 
 func (d *DataStore) page(addr int64, alloc bool) *[Page]byte {
 	base := PageAddr(addr)
-	p := d.pages[base]
+	p, _ := d.pages.Get(base)
 	if p == nil && alloc {
-		if d.pages == nil {
-			d.pages = make(map[int64]*[Page]byte)
-		}
 		p = new([Page]byte)
-		d.pages[base] = p
+		d.pages.Put(base, p)
 	}
 	return p
 }
@@ -108,4 +105,4 @@ func (d *DataStore) Zero(addr int64, size int) {
 
 // Pages returns the number of resident pages (for tests and memory
 // accounting).
-func (d *DataStore) Pages() int { return len(d.pages) }
+func (d *DataStore) Pages() int { return d.pages.Len() }

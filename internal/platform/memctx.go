@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"optanestudy/internal/cache"
-	"optanestudy/internal/dimm"
 	"optanestudy/internal/mem"
 	"optanestudy/internal/sim"
 	"optanestudy/internal/topology"
@@ -25,7 +24,7 @@ type MemCtx struct {
 	wc     *cache.WCBuffer
 	rng    *sim.RNG
 
-	windows map[dimm.DIMM]*drainRing
+	windows []*drainRing // by Platform.dimmIndex, allocated on first use
 
 	pendingAck sim.Time
 	hasPending bool
@@ -38,7 +37,7 @@ type MemCtx struct {
 	// line: a write-back of that line cannot be posted earlier (the store
 	// retires only once the line arrives). This is why store+clwb to cold
 	// lines inherits the device's read latency (Section 5.2).
-	rfoDone map[int64]sim.Time
+	rfoDone mem.Table[sim.Time]
 }
 
 // drainRing caps the number of un-drained WPQ entries a thread may have on
@@ -128,14 +127,17 @@ func (c *MemCtx) ackTime(xp, remote bool) sim.Time {
 	return ack
 }
 
-func (c *MemCtx) window(d dimm.DIMM) *drainRing {
-	w := c.windows[d]
+// window returns the thread's WPQ window on the DIMM behind ns's channel
+// position pos.
+func (c *MemCtx) window(ns *Namespace, pos int) *drainRing {
+	if c.windows == nil {
+		c.windows = make([]*drainRing, c.p.dimmCount())
+	}
+	i := c.p.dimmIndex(ns, pos)
+	w := c.windows[i]
 	if w == nil {
 		w = c.p.getRing()
-		if c.windows == nil {
-			c.windows = make(map[dimm.DIMM]*drainRing)
-		}
-		c.windows[d] = w
+		c.windows[i] = w
 	}
 	return w
 }
@@ -145,8 +147,10 @@ func (c *MemCtx) window(d dimm.DIMM) *drainRing {
 // allocating fresh windows. Safe because procs run exclusively.
 func (c *MemCtx) recycle() {
 	for _, w := range c.windows {
-		w.reset()
-		c.p.ringPool = append(c.p.ringPool, w)
+		if w != nil {
+			w.reset()
+			c.p.ringPool = append(c.p.ringPool, w)
+		}
 	}
 	c.windows = nil
 }
@@ -154,7 +158,9 @@ func (c *MemCtx) recycle() {
 func (c *MemCtx) resetPending() {
 	c.pendingAck, c.hasPending = 0, false
 	for _, w := range c.windows {
-		w.reset()
+		if w != nil {
+			w.reset()
+		}
 	}
 	c.loads = c.loads[:0]
 	c.loadHead = 0
@@ -344,13 +350,10 @@ func (c *MemCtx) rfo(ns *Namespace, lineOff int64, t sim.Time) sim.Time {
 	if done > c.loadMax {
 		c.loadMax = done
 	}
-	if c.rfoDone == nil {
-		c.rfoDone = make(map[int64]sim.Time)
+	if c.rfoDone.Len() > 8192 {
+		c.rfoDone.Clear()
 	}
-	if len(c.rfoDone) > 8192 {
-		c.rfoDone = make(map[int64]sim.Time)
-	}
-	c.rfoDone[ns.GlobalAddr(lineOff)] = done
+	c.rfoDone.Put(ns.GlobalAddr(lineOff), done)
 	return t
 }
 
@@ -377,8 +380,10 @@ func (c *MemCtx) postLine(ns *Namespace, lineOff int64, data []byte, t sim.Time,
 	ch, d := c.p.channelOf(ns, pos), c.p.dimmOf(ns, pos)
 	xp := ns.Media == topology.MediaXP
 	remote := c.remote(ns)
+	var w *drainRing
 	if tracked {
-		if wait := c.window(d).push(0, c.p.cfg.StoreWindow); wait > t {
+		w = c.window(ns, pos)
+		if wait := w.push(0, c.p.cfg.StoreWindow); wait > t {
 			t = wait
 		}
 	}
@@ -389,7 +394,6 @@ func (c *MemCtx) postLine(ns *Namespace, lineOff int64, data []byte, t sim.Time,
 	}
 	acc, drain := ch.PostWrite(postT, d, local)
 	if tracked {
-		w := c.window(d)
 		w.setLast(drain)
 		ack := acc + c.ackTime(xp, remote)
 		if ack > c.pendingAck {
@@ -422,11 +426,11 @@ func (c *MemCtx) flushRange(ns *Namespace, off int64, size int, issue sim.Time, 
 		}
 		t += issue
 		if wasDirty {
-			if done, ok := c.rfoDone[g]; ok {
+			if done, ok := c.rfoDone.Get(g); ok {
 				if done > t {
 					t = done // the write-back waits for the store's RFO
 				}
-				delete(c.rfoDone, g)
+				c.rfoDone.Delete(g)
 			}
 			t = c.postLine(ns, first, nil, t, true)
 			if c.p.cfg.TrackData && data != nil {

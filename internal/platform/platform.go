@@ -177,6 +177,18 @@ func (p *Platform) dimmOf(ns *Namespace, chanPos int) dimm.DIMM {
 	return p.drams[ns.Socket][ch]
 }
 
+// dimmIndex numbers the DIMM behind ns's channel position densely by
+// (socket, channel, media), in [0, dimmCount()).
+func (p *Platform) dimmIndex(ns *Namespace, chanPos int) int {
+	return (ns.Socket*p.cfg.Geometry.ChannelsPerSocket+ns.Channels[chanPos])*2 + int(ns.Media)
+}
+
+// dimmCount is the number of dimmIndex values: a DRAM and an XP DIMM on
+// every channel.
+func (p *Platform) dimmCount() int {
+	return p.cfg.Geometry.Sockets * p.cfg.Geometry.ChannelsPerSocket * 2
+}
+
 func (p *Platform) channelOf(ns *Namespace, chanPos int) *imc.Channel {
 	return p.channels[ns.Socket][ns.Channels[chanPos]]
 }

@@ -117,7 +117,9 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	// evicting and installing slots. lsmkv pins DB.GetInto (memtable probe
 	// + SST binary search into the per-DB scratch). The depth1-* variants
 	// drive the per-op path with GETs only — the read-heavy serving mix's
-	// hot path.
+	// hot path; the depth1-put-* variants drive it with the 0.7/0.3
+	// put/get mix, whose sub-line NT stores pass the write-combining
+	// buffer.
 	variants := []struct {
 		name    string
 		depth   int
@@ -132,6 +134,8 @@ func TestDispatchZeroAlloc(t *testing.T) {
 		{"depth1-pmemkv", 1, true, "pmemkv", 0},
 		{"depth1-cached-hit", 1, true, "pmemkv", 400 * 128},
 		{"depth1-lsmkv", 1, true, "lsmkv", 0},
+		{"depth1-put-pmemkv", 1, false, "pmemkv", 0},
+		{"depth1-put-lsmkv", 1, false, "lsmkv", 0},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"runtime/debug"
@@ -144,7 +143,7 @@ func (e *Engine) Go(name string, start Time, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	})
-	heap.Push(&e.procs, p)
+	e.procs.push(p)
 	return p
 }
 
@@ -159,12 +158,12 @@ func (e *Engine) Run() Time {
 		panic("sim: Run on a stopped engine")
 	}
 	for len(e.procs) > 0 {
-		p := heap.Pop(&e.procs).(*Proc)
+		p := e.procs.pop()
 		if p.now > e.now {
 			e.now = p.now
 		}
 		if _, ok := p.next(); ok {
-			heap.Push(&e.procs, p)
+			e.procs.push(p)
 		}
 	}
 	return e.now
@@ -182,7 +181,7 @@ func (e *Engine) Stop() {
 	}
 	e.stopped = true
 	for len(e.procs) > 0 {
-		p := heap.Pop(&e.procs).(*Proc)
+		p := e.procs.pop()
 		p.stop()
 	}
 }
@@ -192,23 +191,52 @@ func (e *Engine) String() string {
 	return fmt.Sprintf("sim.Engine{now=%v parked=%d}", e.now, len(e.procs))
 }
 
-// procHeap orders procs by (now, seq): earliest time first, FIFO among ties.
+// procHeap is a binary min-heap of procs ordered by (now, seq): earliest
+// time first, FIFO among ties. seq is unique, so the order is total and
+// the pop sequence does not depend on the heap's internal layout.
 type procHeap []*Proc
 
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
+func (h procHeap) less(i, j int) bool {
 	if h[i].now != h[j].now {
 		return h[i].now < h[j].now
 	}
 	return h[i].seq < h[j].seq
 }
-func (h procHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *procHeap) Push(x any)   { *h = append(*h, x.(*Proc)) }
-func (h *procHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+func (h *procHeap) push(p *Proc) {
+	*h = append(*h, p)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *procHeap) pop() *Proc {
+	q := *h
+	n := len(q) - 1
+	p := q[0]
+	q[0] = q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 	return p
 }

@@ -212,3 +212,30 @@ func TestServiceTimeMonotonic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The proc heap must pop in (now, seq) order under any interleaving of
+// pushes and pops, with many equal times so the seq tiebreak decides.
+func TestProcHeapOrder(t *testing.T) {
+	r := NewRNG(3)
+	var h procHeap
+	var seq uint64
+	last := &Proc{now: -1}
+	for i := 0; i < 5000; i++ {
+		if len(h) == 0 || r.Intn(3) > 0 {
+			seq++
+			// New procs never precede the last pop, as in the engine.
+			h.push(&Proc{now: last.now + Time(r.Intn(4)), seq: seq})
+			continue
+		}
+		p := h.pop()
+		if p.now < last.now || (p.now == last.now && p.seq < last.seq) {
+			t.Fatalf("pop %d: (%v, %d) after (%v, %d)", i, p.now, p.seq, last.now, last.seq)
+		}
+		for _, q := range h {
+			if q.now < p.now || (q.now == p.now && q.seq < p.seq) {
+				t.Fatalf("pop %d: (%v, %d) left behind (%v, %d)", i, q.now, q.seq, p.now, p.seq)
+			}
+		}
+		last = p
+	}
+}
