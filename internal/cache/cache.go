@@ -262,18 +262,6 @@ func (c *LLC) FlushAll(fn func(addr int64, data []byte, mask uint64)) int {
 	})
 }
 
-// DirtyLines returns the addresses of all dirty lines in slot order (test
-// hook).
-func (c *LLC) DirtyLines() []int64 {
-	var out []int64
-	for i := 0; i < c.n; i++ {
-		if l := c.slot(i); l.dirty {
-			out = append(out, l.addr)
-		}
-	}
-	return out
-}
-
 // WCBuffer is one thread's write-combining buffer set for non-temporal
 // stores: partially-filled 64 B lines awaiting completion or a fence.
 // Posted lines go on a free list and are reused by later fills, so a

@@ -52,14 +52,14 @@ type Config struct {
 	// elsewhere under numa-blind placement; hits must not cross UPI).
 	// CacheQuota / CacheAdmit / CacheEvict configure per-tenant quotas,
 	// the admission touch count and the eviction policy; CacheTenantSpan
-	// is the per-tenant key-id width quotas account against; CacheSeed
-	// feeds the per-shard eviction RNGs (derive it from the job seed).
+	// is the per-tenant key-id width quotas account against. The tiers'
+	// eviction RNGs are seeded after construction (SeedTiers), so a
+	// Config holds no seed and a built cluster can be forked.
 	CacheBytes      int64
 	CacheQuota      int64
 	CacheAdmit      int
 	CacheEvict      string
 	CacheTenantSpan int64
-	CacheSeed       uint64
 }
 
 // Cluster is the assembled serving fabric: hand Shards and Route to
@@ -121,6 +121,16 @@ func (c *Cluster) LogCounters() pmem.Counters {
 		}
 	}
 	return sum
+}
+
+// SeedTiers seeds every shard tier's eviction RNG: shard i's from
+// seed + i·φ (derive seed from the job seed).
+func (c *Cluster) SeedTiers(seed uint64) {
+	for i, t := range c.Tiers {
+		if t != nil {
+			t.Reseed(seed + uint64(i)*0x9E3779B97F4A7C15)
+		}
+	}
 }
 
 // Route maps a global key id to its shard (the service dispatch hook).
@@ -206,7 +216,6 @@ func New(p *platform.Platform, cfg Config) (*Cluster, error) {
 				CapacityBytes: cfg.CacheBytes, RecordBytes: cfg.Spec.ValSize,
 				Admit: cfg.CacheAdmit, Policy: cfg.CacheEvict,
 				TenantSpan: cfg.CacheTenantSpan, QuotaBytes: cfg.CacheQuota,
-				Seed: cfg.CacheSeed + uint64(i)*0x9E3779B97F4A7C15,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("cluster: shard %d cache: %w", i, err)

@@ -5,6 +5,7 @@ import (
 
 	"optanestudy/internal/fault"
 	"optanestudy/internal/harness"
+	"optanestudy/internal/platform"
 	"optanestudy/internal/service"
 	"optanestudy/internal/sim"
 	"optanestudy/internal/stats"
@@ -192,8 +193,16 @@ func init() {
 
 // runClusterPoint measures one open-loop load level through the cluster:
 // the shared point core (service.PointParams) plus placement, routing,
-// replication, fault injection and per-shard metrics.
+// replication, fault injection and per-shard metrics. It runs on a fork
+// of its batch's snapshot of the built cluster.
 func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
+	return clusterPoint(spec, func(b build) (built, error) { return harness.Fork(spec, b.key(), b.build) })
+}
+
+// clusterPoint runs the point on the quiescent cluster open returns for
+// the point's build. Tests pass b.build itself as the fresh-build
+// reference a fork must match.
+func clusterPoint(spec harness.Spec, open func(build) (built, error)) (harness.Trial, error) {
 	r := harness.NewParamReader(spec.Params)
 	pp := service.ReadPointParams(r, "cluster", 8000) // offered is cluster-wide
 	policy := r.Str("policy", PolicyLocalPacked)
@@ -239,9 +248,7 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 		return harness.Trial{}, fmt.Errorf("cluster: detect must be >= 0 ns, got %g", detectNS)
 	}
 
-	p := pp.NewPlatform()
-	defer p.Close()
-	cl, err := New(p, Config{
+	b := build{Platform: pp.PlatformConfig(), Cluster: Config{
 		Policy: policy, Shards: shards, Workers: spec.Threads,
 		DIMMs: dimms, CapPerDIMM: capDIMM, ClientSocket: spec.Socket,
 		Span: span, QueueCap: pp.QueueCap,
@@ -249,11 +256,15 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 		PutLog: pp.PutLog, Replicate: replicate,
 		CacheBytes: pp.CacheBytes, CacheQuota: pp.QuotaBytes,
 		CacheAdmit: pp.Admit, CacheEvict: pp.Evict,
-		CacheTenantSpan: pp.Keys, CacheSeed: spec.Seed ^ 0x407C,
-	})
+		CacheTenantSpan: pp.Keys,
+	}}
+	f, err := open(b)
 	if err != nil {
 		return harness.Trial{}, err
 	}
+	p, cl := f.p, f.cl
+	defer p.Close()
+	cl.SeedTiers(spec.Seed ^ 0x407C)
 	// The fault schedule is a pure function of the point spec (seed, window,
 	// fault params), built on the serving clock: event time 0 is serving
 	// start, so faultat=f fires f of the way into the measured window.
@@ -379,6 +390,40 @@ func runClusterPoint(spec harness.Spec) (harness.Trial, error) {
 		m["failover_shed_ops"] = float64(shed)
 	})
 	return run.Trial(), nil
+}
+
+// build is everything a cluster point's construction depends on: the
+// platform and the cluster on it. A point runs on a fork of the built
+// pair, so points of one batch that share a build share one preload.
+type build struct {
+	Platform platform.Config
+	Cluster  Config
+}
+
+// key spells out every field, so a construction field joins the key
+// without being listed here.
+func (b build) key() string { return fmt.Sprintf("%#v", b) }
+
+// built is a quiescent, preloaded cluster and its platform.
+type built struct {
+	p  *platform.Platform
+	cl *Cluster
+}
+
+func (b build) build() (built, error) {
+	p := platform.MustNew(b.Platform)
+	ok := false
+	defer func() {
+		if !ok {
+			p.Close() // reap a preload left parked by an error or panic
+		}
+	}()
+	cl, err := New(p, b.Cluster)
+	if err != nil {
+		return built{}, err
+	}
+	ok = true
+	return built{p, cl}, nil
 }
 
 // runClusterSweep runs a cluster sweep preset through the shared grid

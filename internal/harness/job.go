@@ -87,7 +87,7 @@ func buildJobs(sc Scenario, spec Spec, specIdx int) []job {
 func (j job) execute() (_ Trial, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = panicError(j.sc.Name, r)
+			err = panicError("scenario "+j.sc.Name, r)
 		}
 	}()
 	start := time.Now()
@@ -105,13 +105,13 @@ func (j job) execute() (_ Trial, err error) {
 	return tr, nil
 }
 
-// panicError turns a recovered scenario panic into an error carrying the
-// scenario name, the panic value and the stack where it was raised. A
-// *sim.ProcPanic brings the name, simulated time and stack of the
-// simulated thread that panicked.
-func panicError(name string, r any) error {
+// panicError turns a recovered panic of what (a scenario, a snapshot
+// build) into an error carrying what, the panic value and the stack where
+// it was raised. A *sim.ProcPanic brings the name, simulated time and
+// stack of the simulated thread that panicked.
+func panicError(what string, r any) error {
 	if pp, ok := r.(*sim.ProcPanic); ok {
-		return fmt.Errorf("scenario %s panicked in proc %q at %v: %v\n%s", name, pp.Proc, pp.Now, pp.Value, pp.Stack)
+		return fmt.Errorf("%s panicked in proc %q at %v: %v\n%s", what, pp.Proc, pp.Now, pp.Value, pp.Stack)
 	}
-	return fmt.Errorf("scenario %s panicked: %v\n%s", name, r, debug.Stack())
+	return fmt.Errorf("%s panicked: %v\n%s", what, r, debug.Stack())
 }

@@ -24,11 +24,13 @@ var errSkipped = errors.New("harness: skipped after sibling failure")
 // and returns one SpecResult per input spec, in input order.
 //
 // Output is schedule-independent: each job's RNG seed is derived from the
-// resolved spec and trial index (never from run order), every trial builds
-// its own platform, and trials land in their Result by index — so
-// RunSpecs(specs, 1) and RunSpecs(specs, N) produce identical results, and
-// deterministic reports are byte-identical. Scenarios must honor the
-// statelessness contract in DESIGN.md for this to hold.
+// resolved spec and trial index (never from run order), every trial runs
+// on its own platform — built in the trial, or forked from a snapshot in
+// the batch's Snapshots cache, which lives until RunSpecs returns — and
+// trials land in their Result by index. So RunSpecs(specs, 1) and
+// RunSpecs(specs, N) produce identical results, and deterministic reports
+// are byte-identical. Scenarios must honor the statelessness contract in
+// DESIGN.md for this to hold.
 func RunSpecs(specs []Spec, parallel int) []SpecResult {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -67,8 +69,10 @@ func RunSpecs(specs []Spec, parallel int) []SpecResult {
 	for i := range resolved {
 		resolved[i].Parallel = nested
 	}
+	snaps := &Snapshots{}
 	for i := range jobs {
 		jobs[i].spec.Parallel = nested
+		jobs[i].spec.Snapshots = snaps
 	}
 
 	// Each worker writes only its own job's slots. failed lets workers

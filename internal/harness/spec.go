@@ -57,6 +57,11 @@ type Spec struct {
 	// to the untraced trial's. Scenarios that nest (sweeps) propagate it
 	// to their point specs and merge the points' traces.
 	Trace bool
+	// Snapshots is stamped by the driver on each job's spec: the batch's
+	// build-once cache (see Fork). Like Parallel it never participates in
+	// seed derivation or reported config. A spec handed to a nested batch
+	// is stamped with that batch's own cache.
+	Snapshots *Snapshots
 }
 
 // withDefaults fills zero fields from the scenario's defaults and merges

@@ -238,7 +238,6 @@ func New(p *platform.Platform, inner Backend, cfg Config) (*Tier, error) {
 		touches:    make(map[int64]int32),
 		admit:      cfg.Admit,
 		random:     random,
-		rng:        sim.NewRNG(cfg.Seed ^ 0xCAC4E),
 		tenantSpan: cfg.TenantSpan,
 		quotaSlots: quotaSlots,
 		tenants:    make(map[int64]*tenantState),
@@ -248,9 +247,15 @@ func New(p *platform.Platform, inner Backend, cfg Config) (*Tier, error) {
 		t.slots[i].id = -1
 		t.free[i] = int32(int(nslots) - 1 - i) // pop order: slot 0 first
 	}
+	t.Reseed(cfg.Seed)
 	t.bg, _ = inner.(BufferGetter)
 	return t, nil
 }
+
+// Reseed restarts the eviction RNG as if the tier had been built with
+// Config.Seed = seed. A serving point forked from a snapshot seeds its
+// copy of the tier with it.
+func (t *Tier) Reseed(seed uint64) { t.rng = sim.NewRNG(seed ^ 0xCAC4E) }
 
 // Counters returns a snapshot of the tier's accounting.
 func (t *Tier) Counters() Counters { return t.ctr }

@@ -96,11 +96,6 @@ func (c *Channel) PostWrite(t sim.Time, d dimm.DIMM, addr int64) (accepted, drai
 	return accepted, drained
 }
 
-// WPQOccupancy reports the queued entries for a DIMM at time t (test hook).
-func (c *Channel) WPQOccupancy(t sim.Time, d dimm.DIMM) int {
-	return c.wpq(d).q.Occupancy(t)
-}
-
 // WPQOccupancyTime reports a DIMM's cumulative WPQ entry-residency
 // (utilization accounting; divide by WPQEntries × elapsed for the mean
 // fill fraction).

@@ -4,6 +4,12 @@
 // simulated DIMMs.
 package mem
 
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"slices"
+)
+
 // Fundamental granularities of the platform (Section 2.1 of the paper).
 const (
 	CacheLine = 64   // CPU cache line and DDR-T transfer unit
@@ -44,24 +50,53 @@ func XPLinesIn(addr int64, size int) int {
 // DataStore is a sparse byte store over a 64-bit address space, allocating
 // 4 KB pages on demand. It holds the durable contents of simulated memory.
 // The zero value is ready to use.
+//
+// A store made by Fork shares its parent's pages copy-on-write: it reads
+// them in place and copies a page on its first write to it.
 type DataStore struct {
-	pages Table[*[Page]byte] // keyed by page address
+	pages Table[pageRef] // keyed by page address
 }
 
-func (d *DataStore) page(addr int64, alloc bool) *[Page]byte {
-	base := PageAddr(addr)
-	p, _ := d.pages.Get(base)
-	if p == nil && alloc {
-		p = new([Page]byte)
-		d.pages.Put(base, p)
+// pageRef is one resident page. own is false while the page is shared
+// with the store it was forked from.
+type pageRef struct {
+	p   *[Page]byte
+	own bool
+}
+
+// Fork returns a store holding the same bytes as d that shares d's pages
+// until it writes them. d itself keeps writing its pages in place, so d
+// must not be written while a fork shares them; a platform snapshot is
+// never run, which is what makes its forks independent.
+func (d *DataStore) Fork() DataStore {
+	f := DataStore{pages: d.pages}
+	f.pages.slots = append([]tableSlot[pageRef](nil), d.pages.slots...)
+	for i := range f.pages.slots {
+		f.pages.slots[i].val.own = false
 	}
+	return f
+}
+
+// writable returns the page holding addr for writing: allocated on first
+// touch, and copied first when it is still shared.
+func (d *DataStore) writable(addr int64) *[Page]byte {
+	base := PageAddr(addr)
+	ref, ok := d.pages.Get(base)
+	if ok && ref.own {
+		return ref.p
+	}
+	p := new([Page]byte)
+	if ok {
+		*p = *ref.p
+	}
+	d.pages.Put(base, pageRef{p: p, own: true})
 	return p
 }
 
 // Write copies data into the store at addr.
 func (d *DataStore) Write(addr int64, data []byte) {
 	for len(data) > 0 {
-		p := d.page(addr, true)
+		p := d.writable(addr)
 		off := int(addr - PageAddr(addr))
 		n := copy(p[off:], data)
 		data = data[n:]
@@ -77,8 +112,8 @@ func (d *DataStore) Read(addr int64, buf []byte) {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if p := d.page(addr, false); p != nil {
-			copy(buf[:n], p[off:off+n])
+		if ref, ok := d.pages.Get(PageAddr(addr)); ok {
+			copy(buf[:n], ref.p[off:off+n])
 		} else {
 			for i := 0; i < n; i++ {
 				buf[i] = 0
@@ -106,3 +141,37 @@ func (d *DataStore) Zero(addr int64, size int) {
 // Pages returns the number of resident pages (for tests and memory
 // accounting).
 func (d *DataStore) Pages() int { return d.pages.Len() }
+
+// Digest hashes the resident pages, in address order, with their bytes
+// (FNV-1a). Stores holding the same pages of the same bytes have equal
+// digests, whichever of them are shared.
+func (d *DataStore) Digest() uint64 {
+	bases := make([]int64, 0, d.pages.Len())
+	for _, s := range d.pages.slots {
+		if s.key1 != 0 {
+			bases = append(bases, s.key1-1)
+		}
+	}
+	slices.Sort(bases)
+	h := fnv.New64a()
+	var b [8]byte
+	for _, base := range bases {
+		ref, _ := d.pages.Get(base)
+		binary.LittleEndian.PutUint64(b[:], uint64(base))
+		h.Write(b[:])
+		h.Write(ref.p[:])
+	}
+	return h.Sum64()
+}
+
+// SharedPages returns how many resident pages are still shared with the
+// store d was forked from: Pages minus the pages d has copied or added.
+func (d *DataStore) SharedPages() int {
+	n := 0
+	for _, s := range d.pages.slots {
+		if s.key1 != 0 && !s.val.own {
+			n++
+		}
+	}
+	return n
+}

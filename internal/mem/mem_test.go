@@ -132,3 +132,48 @@ func TestDataStoreQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDataStoreForkCopyOnWrite checks that forks read their parent's
+// bytes, copy a page only on their first write to it, and never see each
+// other's or change their parent's bytes.
+func TestDataStoreForkCopyOnWrite(t *testing.T) {
+	var parent DataStore
+	parent.Write(0, bytes.Repeat([]byte{1}, 3*Page))
+	a, b := parent.Fork(), parent.Fork()
+	if a.Pages() != 3 || a.SharedPages() != 3 {
+		t.Fatalf("fresh fork: %d pages, %d shared; want 3 and 3", a.Pages(), a.SharedPages())
+	}
+	a.Write(Page+10, []byte{2, 2})
+	b.Write(5*Page, []byte{3})
+	if a.SharedPages() != 2 || b.SharedPages() != 3 || b.Pages() != 4 {
+		t.Errorf("after writes: a shares %d, b shares %d of %d; want 2, 3 of 4",
+			a.SharedPages(), b.SharedPages(), b.Pages())
+	}
+	read := func(d *DataStore, addr int64) byte {
+		buf := make([]byte, 1)
+		d.Read(addr, buf)
+		return buf[0]
+	}
+	for _, c := range []struct {
+		name string
+		d    *DataStore
+		addr int64
+		want byte
+	}{
+		{"a written", &a, Page + 10, 2},
+		{"a copied neighbour", &a, Page + 12, 1},
+		{"a shared", &a, 0, 1},
+		{"b sees no a write", &b, Page + 10, 1},
+		{"b written", &b, 5 * Page, 3},
+		{"a sees no b write", &a, 5 * Page, 0},
+		{"parent unchanged", &parent, Page + 10, 1},
+		{"parent gains no page", &parent, 5 * Page, 0},
+	} {
+		if got := read(c.d, c.addr); got != c.want {
+			t.Errorf("%s: byte at %d = %d, want %d", c.name, c.addr, got, c.want)
+		}
+	}
+	if parent.Pages() != 3 || parent.SharedPages() != 0 {
+		t.Errorf("parent: %d pages, %d shared; want 3 and 0", parent.Pages(), parent.SharedPages())
+	}
+}

@@ -57,3 +57,24 @@ func TestCloseAfterPartialUse(t *testing.T) {
 	p.Close()
 	p.Close() // idempotent
 }
+
+// TestFinishedContextDropsProc checks that a thread's memory context, which
+// the platform keeps for Crash, lets go of its proc once the thread
+// returns.
+func TestFinishedContextDropsProc(t *testing.T) {
+	p := newPlatform(t, false)
+	defer p.Close()
+	ns, err := p.Optane("pm", 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ctx *MemCtx
+	p.Go("w", 0, func(c *MemCtx) {
+		ctx = c
+		c.PersistNT(ns, 0, 256, nil)
+	})
+	p.Run()
+	if ctx.Proc() != nil {
+		t.Error("finished context still holds its proc")
+	}
+}

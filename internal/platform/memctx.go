@@ -144,7 +144,10 @@ func (c *MemCtx) window(ns *Namespace, pos int) *drainRing {
 
 // recycle returns the context's per-DIMM windows to the platform pool once
 // its thread has finished; later threads reuse the ring storage instead of
-// allocating fresh windows. Safe because procs run exclusively.
+// allocating fresh windows. Safe because procs run exclusively. The
+// platform keeps every context for Crash, which needs only the
+// write-combining buffer, so recycle also drops the finished proc and the
+// thread's load and ownership-read bookkeeping.
 func (c *MemCtx) recycle() {
 	for _, w := range c.windows {
 		if w != nil {
@@ -153,6 +156,9 @@ func (c *MemCtx) recycle() {
 		}
 	}
 	c.windows = nil
+	c.proc = nil
+	c.loads, c.loadHead, c.loadMax = nil, 0, 0
+	c.rfoDone = mem.Table[sim.Time]{}
 }
 
 func (c *MemCtx) resetPending() {

@@ -295,6 +295,17 @@ func (ns *Namespace) WriteDurable(off int64, data []byte) {
 	ns.p.persist.Write(ns.GlobalAddr(off), data)
 }
 
+// DurablePages reports the durable store's resident 4 KB pages and how
+// many of them a forked platform still shares with the platform it was
+// copied from (see mem.DataStore.Fork).
+func (p *Platform) DurablePages() (resident, shared int) {
+	return p.persist.Pages(), p.persist.SharedPages()
+}
+
+// DurableDigest hashes the durable store's contents (mem.DataStore.Digest):
+// two platforms holding the same durable bytes have equal digests.
+func (p *Platform) DurableDigest() uint64 { return p.persist.Digest() }
+
 // Platform returns the owning platform.
 func (ns *Namespace) Platform() *Platform { return ns.p }
 

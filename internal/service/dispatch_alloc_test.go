@@ -73,7 +73,7 @@ func newDispatchHarnessOpts(tb testing.TB, batchSize int, backend string, cacheB
 			shards:  make([]shardState, 1),
 			tenants: []TenantStats{{Name: "t", Latency: stats.NewHistogram()}},
 		},
-		sc:    newOpScratch(Config{KeySize: spec.KeySize, ValSize: spec.ValSize}),
+		sc:    newOpScratch(Config{KeySize: spec.KeySize, ValSize: spec.ValSize}, 1),
 		batch: make([]request, 0, batchSize),
 	}
 	h.st.shards[0] = shardState{

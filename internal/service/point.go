@@ -147,18 +147,18 @@ func (pp *PointParams) Check() error {
 	return nil
 }
 
-// NewPlatform builds the serving platform. llckb > 0 shrinks the LLC so
-// the working set actually lives beyond it: with the calibrated 12 MB LLC,
-// a small keyspace becomes LLC-resident after warmup and a DRAM tier would
-// measure nothing.
-func (pp *PointParams) NewPlatform() *platform.Platform {
+// PlatformConfig is the serving platform's configuration. llckb > 0
+// shrinks the LLC so the working set actually lives beyond it: with the
+// calibrated 12 MB LLC, a small keyspace becomes LLC-resident after
+// warmup and a DRAM tier would measure nothing.
+func (pp *PointParams) PlatformConfig() platform.Config {
 	cfg := platform.DefaultConfig()
 	cfg.TrackData = true
 	cfg.XP.Wear.Enabled = false
 	if pp.LLCKB > 0 {
 		cfg.LLC.Lines = int(pp.LLCKB << 10 / 64)
 	}
-	return platform.MustNew(cfg)
+	return cfg
 }
 
 // BackendSpec is the preload geometry: every tenant's keyspace, with

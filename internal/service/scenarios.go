@@ -1,8 +1,11 @@
 package service
 
 import (
+	"fmt"
+
 	"optanestudy/internal/harness"
 	"optanestudy/internal/hottier"
+	"optanestudy/internal/platform"
 	"optanestudy/internal/sim"
 )
 
@@ -202,8 +205,16 @@ func init() {
 
 // runPoint measures one open-loop load level on a single node: one shard
 // serving the backend — behind a DRAM hot tier or as a Memory-Mode store
-// when a cache size is given — with the workers on the spec's socket.
+// when a cache size is given — with the workers on the spec's socket. It
+// runs on a fork of its batch's snapshot of the built node.
 func runPoint(spec harness.Spec) (harness.Trial, error) {
+	return nodePoint(spec, func(b nodeBuild) (node, error) { return harness.Fork(spec, b.key(), b.build) })
+}
+
+// nodePoint runs the point on the quiescent node open returns for the
+// point's build. Tests pass b.build itself as the fresh-build reference a
+// fork must match.
+func nodePoint(spec harness.Spec, open func(nodeBuild) (node, error)) (harness.Trial, error) {
 	r := harness.NewParamReader(spec.Params)
 	pp := ReadPointParams(r, "service", 4000)
 	if err := r.Err(); err != nil {
@@ -212,47 +223,42 @@ func runPoint(spec harness.Spec) (harness.Trial, error) {
 	if err := pp.Check(); err != nil {
 		return harness.Trial{}, err
 	}
-	p := pp.NewPlatform()
-	defer p.Close()
-
-	bspec := pp.BackendSpec()
-	backend := pp.Backend
+	b := nodeBuild{Platform: pp.PlatformConfig(), Backend: pp.Backend, Spec: pp.BackendSpec()}
 	if pp.Tier == "memmode" {
-		backend = "memmode"
-		bspec.NearBytes = pp.CacheBytes
+		b.Backend = "memmode"
+		b.Spec.NearBytes = pp.CacheBytes
 	}
-	be, err := NewBackend(p, backend, bspec)
-	if err != nil {
-		return harness.Trial{}, err
-	}
-	var hooks PointHooks
 	if pp.Tier == "hot" {
-		tier, err := hottier.New(p, be, hottier.Config{
+		b.Tier = hottier.Config{
 			Name: "svc", Socket: spec.Socket,
 			CapacityBytes: pp.CacheBytes, RecordBytes: pp.ValSize,
 			Admit: pp.Admit, Policy: pp.Evict,
 			TenantSpan: pp.Keys, QuotaBytes: pp.QuotaBytes,
-			Seed: spec.Seed ^ 0x407C,
-		})
-		if err != nil {
-			return harness.Trial{}, err
 		}
-		be, hooks.Tier = tier, tier.Counters
+	}
+	if pp.PutLog {
+		b.LogWorkers = spec.Threads
+		b.LogRegion = int64(2 << 20)
+		if rec := int64(8 + pp.KeySize + pp.ValSize); b.LogRegion < 4*rec {
+			b.LogRegion = 4 * rec // oversized records: keep several per wrap
+		}
+	}
+	n, err := open(b)
+	if err != nil {
+		return harness.Trial{}, err
+	}
+	p, be, plog := n.p, n.be, n.plog
+	defer p.Close()
+	var hooks PointHooks
+	if n.tier != nil {
+		n.tier.Reseed(spec.Seed ^ 0x407C)
+		hooks.Tier = n.tier.Counters
 	}
 	mb, isMemMode := be.(*memModeBackend)
 	if isMemMode {
 		hooks.Near = mb.Stats().Stats
 	}
-	var plog *AppendLog
-	if pp.PutLog {
-		region := int64(2 << 20)
-		if rec := int64(8 + pp.KeySize + pp.ValSize); region < 4*rec {
-			region = 4 * rec // oversized records: keep several per wrap
-		}
-		plog, err = NewAppendLog(p, BackendSpec{Media: pp.Media}, spec.Threads, region)
-		if err != nil {
-			return harness.Trial{}, err
-		}
+	if plog != nil {
 		hooks.Log = plog.Counters
 	}
 	run, err := pp.Serve(spec, Config{
@@ -278,6 +284,63 @@ func runPoint(spec harness.Spec) (harness.Trial, error) {
 		m["memmode_writebacks"] = float64(writebacks)
 	})
 	return run.Trial(), nil
+}
+
+// nodeBuild is everything a single-node point's construction depends on:
+// the platform, the preloaded backend, a hot tier when Tier.CapacityBytes
+// is set (its Seed stays zero: the point reseeds its fork) and a
+// per-worker put log when LogWorkers is set. A point runs on a fork of
+// the built node, so points of one batch that share a build share one
+// preload.
+type nodeBuild struct {
+	Platform   platform.Config
+	Backend    string
+	Spec       BackendSpec
+	Tier       hottier.Config
+	LogWorkers int
+	LogRegion  int64
+}
+
+// key spells out every field, so a construction field joins the key
+// without being listed here.
+func (b nodeBuild) key() string { return fmt.Sprintf("%#v", b) }
+
+// node is a quiescent, preloaded single-node server: the backend (behind
+// its tier, when one is built) and the put log on their platform.
+type node struct {
+	p    *platform.Platform
+	be   Backend
+	tier *hottier.Tier
+	plog *AppendLog
+}
+
+// build constructs the node in the order namespace bases depend on:
+// backend, tier, log.
+func (b nodeBuild) build() (node, error) {
+	n := node{p: platform.MustNew(b.Platform)}
+	ok := false
+	defer func() {
+		if !ok {
+			n.p.Close() // reap a preload left parked by an error or panic
+		}
+	}()
+	var err error
+	if n.be, err = NewBackend(n.p, b.Backend, b.Spec); err != nil {
+		return node{}, err
+	}
+	if b.Tier.CapacityBytes > 0 {
+		if n.tier, err = hottier.New(n.p, n.be, b.Tier); err != nil {
+			return node{}, err
+		}
+		n.be = n.tier
+	}
+	if b.LogWorkers > 0 {
+		if n.plog, err = NewAppendLog(n.p, BackendSpec{Media: b.Spec.Media}, b.LogWorkers, b.LogRegion); err != nil {
+			return node{}, err
+		}
+	}
+	ok = true
+	return n, nil
 }
 
 // runSweepScenario runs a single-node sweep preset through the shared

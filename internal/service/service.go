@@ -509,8 +509,11 @@ func Serve(cfg Config) (*Result, error) {
 			w := w
 			p.Go(fmt.Sprintf("serve-s%dw%d", si, w), shard.Socket, func(ctx *platform.MemCtx) {
 				proc := ctx.Proc()
-				sc := newOpScratch(cfg)
-				batch := make([]request, 0, depth)
+				// popN never drains more than the queue holds, so a
+				// depth past the queue cap needs no larger buffers.
+				batchCap := min(depth, sh.occ.Cap())
+				sc := newOpScratch(cfg, batchCap)
+				batch := make([]request, 0, batchCap)
 				fo := sh.fo
 				for runErr == nil {
 					if fo != nil && fo.blocked(proc.Now()) {
@@ -634,10 +637,10 @@ type opEdge struct {
 	start, end sim.Time
 }
 
-func newOpScratch(cfg Config) *opScratch {
+func newOpScratch(cfg Config, batchCap int) *opScratch {
 	sc := &opScratch{key: make([]byte, cfg.KeySize), val: make([]byte, cfg.ValSize)}
 	if cfg.Recorder != nil && cfg.BatchSize > 1 {
-		sc.edges = make([]opEdge, 0, cfg.BatchSize)
+		sc.edges = make([]opEdge, 0, batchCap)
 	}
 	return sc
 }

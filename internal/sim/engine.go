@@ -164,10 +164,17 @@ func (e *Engine) Run() Time {
 		}
 		if _, ok := p.next(); ok {
 			e.procs.push(p)
+		} else {
+			p.release()
 		}
 	}
 	return e.now
 }
+
+// release drops a finished proc's coroutine funcs, so a proc kept
+// reachable after it returns (a finished thread's memory context) holds
+// no closures.
+func (p *Proc) release() { p.next, p.stop, p.yieldFn = nil, nil, nil }
 
 // Stop tears the engine down: every live proc is stopped. A proc spawned
 // but never run never executes its body; a proc parked mid-simulation sees
@@ -183,6 +190,7 @@ func (e *Engine) Stop() {
 	for len(e.procs) > 0 {
 		p := e.procs.pop()
 		p.stop()
+		p.release()
 	}
 }
 

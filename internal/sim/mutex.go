@@ -22,15 +22,6 @@ func (m *Mutex) Lock(p *Proc) {
 	m.held = true
 }
 
-// TryLock acquires the mutex if free.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
-}
-
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() {
 	if !m.held {
@@ -38,6 +29,3 @@ func (m *Mutex) Unlock() {
 	}
 	m.held = false
 }
-
-// Locked reports the current state (test hook).
-func (m *Mutex) Locked() bool { return m.held }

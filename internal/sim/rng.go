@@ -64,14 +64,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fork derives an independent generator; useful for giving each simulated
 // thread its own stream from a single experiment seed.
 func (r *RNG) Fork() *RNG {

@@ -104,3 +104,19 @@ func TestStopAfterProcPanic(t *testing.T) {
 		t.Errorf("goroutines leaked: %d before, %d after", before, after)
 	}
 }
+
+// TestFinishedProcHoldsNoFuncs checks that a proc which returned, and one
+// Stop reaped, keep no coroutine closures: a finished proc reachable from
+// outside the engine must not pin its body.
+func TestFinishedProcHoldsNoFuncs(t *testing.T) {
+	e := NewEngine()
+	done := e.Go("done", 0, func(p *Proc) { p.Sleep(Nanosecond) })
+	e.Run()
+	reaped := e.Go("reaped", e.Now(), func(p *Proc) {})
+	e.Stop()
+	for _, p := range []*Proc{done, reaped} {
+		if p.next != nil || p.stop != nil || p.yieldFn != nil {
+			t.Errorf("proc %q keeps its coroutine funcs after finishing", p.Name())
+		}
+	}
+}

@@ -17,19 +17,43 @@ import (
 // Bucketing: values are grouped by (exponent, 1/64 mantissa slice), giving a
 // worst-case relative error of ~1.6% per bucket — plenty for p99.999 work.
 // Exact minimum and maximum are tracked separately.
+//
+// The buckets are dense: counts holds every bucket from lo up, a whole
+// number of powers of two, so a histogram costs 512 B per power of two
+// its samples span and an Add is an index, not a hash.
 type Histogram struct {
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	buckets map[int32]int64
+	count  int64
+	sum    float64
+	min    float64
+	max    float64
+	zeros  int64   // samples in bucket math.MinInt32: v <= 0
+	lo     int32   // bucket of counts[0], a multiple of 1<<histSubBits
+	counts []int64 // buckets lo, lo+1, ...
 }
 
 const histSubBits = 6 // 64 sub-buckets per power of two
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{min: math.Inf(1), max: math.Inf(-1), buckets: make(map[int32]int64)}
+	return &Histogram{min: math.Inf(1), max: math.Inf(-1)}
+}
+
+// cover widens counts to hold buckets lo..hi, rounded out to whole powers
+// of two.
+func (h *Histogram) cover(lo, hi int32) {
+	lo &^= 1<<histSubBits - 1
+	hi |= 1<<histSubBits - 1
+	if n := int32(len(h.counts)); n > 0 {
+		lo, hi = min(lo, h.lo), max(hi, h.lo+n-1)
+		if lo == h.lo && hi == h.lo+n-1 {
+			return
+		}
+	}
+	counts := make([]int64, hi-lo+1)
+	if len(h.counts) > 0 {
+		copy(counts[h.lo-lo:], h.counts)
+	}
+	h.lo, h.counts = lo, counts
 }
 
 func bucketOf(v float64) int32 {
@@ -64,7 +88,15 @@ func (h *Histogram) Add(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.buckets[bucketOf(v)]++
+	b := bucketOf(v)
+	if b == math.MinInt32 { // v <= 0 (or not finite)
+		h.zeros++
+		return
+	}
+	if i := b - h.lo; i < 0 || int(i) >= len(h.counts) {
+		h.cover(b, b)
+	}
+	h.counts[b-h.lo]++
 }
 
 // Count returns the number of samples.
@@ -116,11 +148,23 @@ func (h *Histogram) Quantiles(qs []float64) []float64 {
 	}
 	sort.Slice(order, func(i, j int) bool { return qs[order[i]] < qs[order[j]] })
 
-	keys := make([]int32, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
+	// The non-empty buckets in order; math.MinInt32 is the bucket of
+	// samples <= 0, below every other.
+	var keys []int32
+	if h.zeros > 0 {
+		keys = append(keys, math.MinInt32)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for i, c := range h.counts {
+		if c > 0 {
+			keys = append(keys, h.lo+int32(i))
+		}
+	}
+	countOf := func(k int32) int64 {
+		if k == math.MinInt32 {
+			return h.zeros
+		}
+		return h.counts[k-h.lo]
+	}
 
 	ki, next := 0, 0
 	var seen int64
@@ -136,7 +180,7 @@ func (h *Histogram) Quantiles(qs []float64) []float64 {
 		}
 		rank := int64(math.Ceil(q * float64(h.count)))
 		for seen < rank && ki < len(keys) {
-			seen += h.buckets[keys[ki]]
+			seen += countOf(keys[ki])
 			next = ki
 			ki++
 		}
@@ -169,8 +213,12 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-	for k, c := range other.buckets {
-		h.buckets[k] += c
+	h.zeros += other.zeros
+	if len(other.counts) > 0 {
+		h.cover(other.lo, other.lo+int32(len(other.counts))-1)
+		for i, c := range other.counts {
+			h.counts[other.lo-h.lo+int32(i)] += c
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -88,5 +90,46 @@ func TestEmptyHistogramZeroes(t *testing.T) {
 	}
 	if p := h.Percentile(0.99); p != 0 {
 		t.Errorf("empty percentile = %g, want 0", p)
+	}
+}
+
+// TestHistogramMatchesSortedReference checks quantiles against a direct
+// computation over the sorted samples — the rank-th sample's bucket low,
+// clamped to [min, max] — for samples spanning twelve decades in random
+// order (so the dense bucket range grows down as well as up), with zeros
+// and negatives in the bottom bucket, before and after a merge.
+func TestHistogramMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var samples []float64
+	h, a, b := NewHistogram(), NewHistogram(), NewHistogram()
+	for i := 0; i < 5000; i++ {
+		v := math.Pow(10, rng.Float64()*12-3)
+		switch rng.Intn(40) {
+		case 0:
+			v = 0
+		case 1:
+			v = -v
+		}
+		samples = append(samples, v)
+		h.Add(v)
+		if i%3 == 0 {
+			a.Add(v)
+		} else {
+			b.Add(v)
+		}
+	}
+	a.Merge(b)
+	sort.Float64s(samples)
+	lo, hi := samples[0], samples[len(samples)-1]
+	for _, q := range []float64{0.001, 0.01, 0.02, 0.1, 0.5, 0.9, 0.99, 0.999} {
+		v := samples[int(math.Ceil(q*float64(len(samples))))-1]
+		want := bucketLow(bucketOf(v))
+		want = math.Min(math.Max(want, lo), hi)
+		if got := h.Percentile(q); got != want {
+			t.Errorf("q%g = %g, want %g", q, got, want)
+		}
+		if got := a.Percentile(q); got != want {
+			t.Errorf("merged q%g = %g, want %g", q, got, want)
+		}
 	}
 }
